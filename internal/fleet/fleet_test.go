@@ -303,7 +303,7 @@ func TestRouterL2ServesAcrossRebalance(t *testing.T) {
 	if got := f.servers[survivor].Cache().Stats().Misses; got != survivorMissesBefore {
 		t.Fatalf("survivor compiled anyway: misses %d → %d", survivorMissesBefore, got)
 	}
-	if rt := f.rt; rt.metrics.l2ServedMoved.Load() == 0 {
+	if rt := f.rt; rt.metrics.l2ServedMoved.Value() == 0 {
 		t.Fatal("l2ServedMoved counter did not move")
 	}
 

@@ -1,176 +1,103 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpsched/internal/obs"
 	"mpsched/internal/server/client"
+	"mpsched/internal/store"
 )
 
-// routerMetrics holds the router's counters and latency distributions,
-// exported in Prometheus text format at GET /metrics under the
-// mpschedrouter_ prefix — same families and idioms as mpschedd's
-// surface, plus the fleet-specific per-backend series the CI scaling
-// gate scrapes (backend_up, forwarded/rerouted/errors per backend).
+// routerMetrics declares mpschedrouter's /metrics families on one
+// obs.Registry — same idioms as mpschedd's surface under the
+// mpschedrouter_ prefix, plus the fleet-specific per-backend series the
+// CI scaling gate scrapes (backend_up, forwarded/rerouted/errors per
+// backend). Pool, shared-cache and resilience state is sampled at
+// scrape time.
 type routerMetrics struct {
+	reg   *obs.Registry
 	start time.Time
 
-	inflight atomic.Int64
+	// requests and reqSeconds are per route; Router.route resolves each
+	// route's handles once at registration.
+	requests   obs.CounterVec
+	reqSeconds obs.SummaryVec
+	inflight   *obs.Gauge
 
-	l2ServedMoved    atomic.Int64 // L2 hits served because the ring moved the key
-	l2ServedFallback atomic.Int64 // L2 hits served because every replica was down
-
-	mu       sync.Mutex
-	requests map[string]int64
-	reqHist  map[string]*obs.LockedHistogram // route → end-to-end latency
+	l2ServedMoved    *obs.Counter // L2 hits served because the ring moved the key
+	l2ServedFallback *obs.Counter // L2 hits served because every replica was down
 }
 
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{
-		start:    time.Now(),
-		requests: map[string]int64{},
-		reqHist:  map[string]*obs.LockedHistogram{},
-	}
-}
+func newRouterMetrics(rt *Router) *routerMetrics {
+	r := obs.NewRegistry()
+	m := &routerMetrics{reg: r, start: time.Now()}
 
-func (m *routerMetrics) incRequest(route string) {
-	m.mu.Lock()
-	m.requests[route]++
-	m.mu.Unlock()
-}
-
-func (m *routerMetrics) observeRequest(route string, d time.Duration) {
-	m.mu.Lock()
-	h := m.reqHist[route]
-	if h == nil {
-		h = &obs.LockedHistogram{}
-		m.reqHist[route] = h
-	}
-	m.mu.Unlock()
-	h.Record(d)
-}
-
-// summary mirrors server/metrics.go's summary helper: the p50/p99
-// samples plus _sum and _count of one label set.
-func summary(w io.Writer, name, labels string, h obs.Histogram) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	fmt.Fprintf(w, "%s{%s%squantile=\"0.5\"} %g\n", name, labels, sep, h.Quantile(0.5).Seconds())
-	fmt.Fprintf(w, "%s{%s%squantile=\"0.99\"} %g\n", name, labels, sep, h.Quantile(0.99).Seconds())
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum().Seconds(), name, h.Count())
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, h.Sum().Seconds(), name, labels, h.Count())
-	}
-}
-
-// render writes the Prometheus text exposition. The pool, L2 cache and
-// the forwarding clients' resilience stats are sampled at scrape time.
-func (m *routerMetrics) render(w io.Writer, p *pool, l2 *l2Cache, stats client.ResilienceStats) {
-	uptime := time.Since(m.start).Seconds()
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.requests))
-	for r := range m.requests {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	counts := make([]int64, len(routes))
-	for i, r := range routes {
-		counts[i] = m.requests[r]
-	}
-	histRoutes := make([]string, 0, len(m.reqHist))
-	for r := range m.reqHist {
-		histRoutes = append(histRoutes, r)
-	}
-	sort.Strings(histRoutes)
-	hists := make([]*obs.LockedHistogram, len(histRoutes))
-	for i, r := range histRoutes {
-		hists[i] = m.reqHist[r]
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP mpschedrouter_requests_total HTTP requests by route.\n# TYPE mpschedrouter_requests_total counter\n")
-	for i, r := range routes {
-		fmt.Fprintf(w, "mpschedrouter_requests_total{route=%q} %d\n", r, counts[i])
-	}
+	m.requests = r.CounterVec("mpschedrouter_requests_total", "HTTP requests by route.", "route")
 
 	// Per-backend fleet state — the series the CI fleet gate scrapes.
-	fmt.Fprintf(w, "# HELP mpschedrouter_backend_up Whether each backend is in rotation (1) or demoted (0).\n# TYPE mpschedrouter_backend_up gauge\n")
-	for _, b := range p.backends {
-		up := 0
-		if b.Up() {
-			up = 1
-		}
-		fmt.Fprintf(w, "mpschedrouter_backend_up{backend=%q} %d\n", b.URL, up)
+	backend := func(name, help string, kind obs.Kind, v func(*Backend) int64) {
+		r.Sampled(name, help, kind, []string{"backend"}, func(emit func(float64, ...string)) {
+			for _, b := range rt.pool.backends {
+				emit(float64(v(b)), b.URL)
+			}
+		})
 	}
-	fmt.Fprintf(w, "# HELP mpschedrouter_forwarded_total Requests forwarded per backend (any outcome).\n# TYPE mpschedrouter_forwarded_total counter\n")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "mpschedrouter_forwarded_total{backend=%q} %d\n", b.URL, b.forwarded.Load())
-	}
-	fmt.Fprintf(w, "# HELP mpschedrouter_rerouted_total Forwards that were failovers from an earlier ring replica.\n# TYPE mpschedrouter_rerouted_total counter\n")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "mpschedrouter_rerouted_total{backend=%q} %d\n", b.URL, b.rerouted.Load())
-	}
-	fmt.Fprintf(w, "# HELP mpschedrouter_backend_errors_total Forwards that failed with a transport fault, 5xx, or open breaker.\n# TYPE mpschedrouter_backend_errors_total counter\n")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "mpschedrouter_backend_errors_total{backend=%q} %d\n", b.URL, b.errored.Load())
-	}
+	backend("mpschedrouter_backend_up", "Whether each backend is in rotation (1) or demoted (0).", obs.GaugeKind,
+		func(b *Backend) int64 {
+			if b.Up() {
+				return 1
+			}
+			return 0
+		})
+	backend("mpschedrouter_forwarded_total", "Requests forwarded per backend (any outcome).", obs.CounterKind,
+		func(b *Backend) int64 { return b.forwarded.Load() })
+	backend("mpschedrouter_rerouted_total", "Forwards that were failovers from an earlier ring replica.", obs.CounterKind,
+		func(b *Backend) int64 { return b.rerouted.Load() })
+	backend("mpschedrouter_backend_errors_total", "Forwards that failed with a transport fault, 5xx, or open breaker.", obs.CounterKind,
+		func(b *Backend) int64 { return b.errored.Load() })
 
-	gauge("mpschedrouter_backends", "Configured fleet size.", float64(len(p.backends)))
-	gauge("mpschedrouter_backends_up", "Backends currently in rotation.", float64(p.upCount()))
-	counter("mpschedrouter_demotions_total", "Backends taken out of rotation for health.", p.demotions.Load())
-	counter("mpschedrouter_rebalances_total", "Hash-ring rebuilds (demotions plus revivals).", p.rebalances.Load())
+	r.GaugeFunc("mpschedrouter_backends", "Configured fleet size.", func() float64 { return float64(len(rt.pool.backends)) })
+	r.GaugeFunc("mpschedrouter_backends_up", "Backends currently in rotation.", func() float64 { return float64(rt.pool.upCount()) })
+	r.CounterFunc("mpschedrouter_demotions_total", "Backends taken out of rotation for health.", func() float64 { return float64(rt.pool.demotions.Load()) })
+	r.CounterFunc("mpschedrouter_rebalances_total", "Hash-ring rebuilds (demotions plus revivals).", func() float64 { return float64(rt.pool.rebalances.Load()) })
 
-	fmt.Fprintf(w, "# HELP mpschedrouter_l2_served_total Responses served from the router's shared cache, by reason.\n# TYPE mpschedrouter_l2_served_total counter\n")
-	fmt.Fprintf(w, "mpschedrouter_l2_served_total{reason=\"moved\"} %d\n", m.l2ServedMoved.Load())
-	fmt.Fprintf(w, "mpschedrouter_l2_served_total{reason=\"fallback\"} %d\n", m.l2ServedFallback.Load())
-	gauge("mpschedrouter_l2_entries", "Responses currently in the shared cache.", float64(l2.entries()))
-	if tiers := l2.tiers(); len(tiers) > 0 {
-		fmt.Fprintf(w, "# HELP mpschedrouter_l2_tier_hits_total Shared-cache hits by tier.\n# TYPE mpschedrouter_l2_tier_hits_total counter\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "mpschedrouter_l2_tier_hits_total{tier=%q} %d\n", t.Tier, t.Hits)
-		}
-		fmt.Fprintf(w, "# HELP mpschedrouter_l2_tier_entries Shared-cache entries by tier.\n# TYPE mpschedrouter_l2_tier_entries gauge\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "mpschedrouter_l2_tier_entries{tier=%q} %d\n", t.Tier, t.Entries)
-		}
-		fmt.Fprintf(w, "# HELP mpschedrouter_l2_tier_bytes Shared-cache bytes by tier (disk only).\n# TYPE mpschedrouter_l2_tier_bytes gauge\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "mpschedrouter_l2_tier_bytes{tier=%q} %d\n", t.Tier, t.Bytes)
-		}
+	const servedHelp = "Responses served from the router's shared cache, by reason."
+	m.l2ServedMoved = r.Counter("mpschedrouter_l2_served_total", servedHelp, "reason", "moved")
+	m.l2ServedFallback = r.Counter("mpschedrouter_l2_served_total", servedHelp, "reason", "fallback")
+	r.GaugeFunc("mpschedrouter_l2_entries", "Responses currently in the shared cache.", func() float64 { return float64(rt.l2.entries()) })
+	tier := func(name, help string, kind obs.Kind, v func(store.TierStats) int64) {
+		r.Sampled(name, help, kind, []string{"tier"}, func(emit func(float64, ...string)) {
+			for _, t := range rt.l2.tiers() {
+				emit(float64(v(t)), t.Tier)
+			}
+		})
 	}
+	tier("mpschedrouter_l2_tier_hits_total", "Shared-cache hits by tier.", obs.CounterKind,
+		func(t store.TierStats) int64 { return t.Hits })
+	tier("mpschedrouter_l2_tier_entries", "Shared-cache entries by tier.", obs.GaugeKind,
+		func(t store.TierStats) int64 { return int64(t.Entries) })
+	tier("mpschedrouter_l2_tier_bytes", "Shared-cache bytes by tier (disk only).", obs.GaugeKind,
+		func(t store.TierStats) int64 { return t.Bytes })
 
 	// The forwarding clients share one resilience layer, so these are
 	// fleet-wide sums; per-backend splits live in the breaker/hedger maps
 	// keyed by base URL, surfaced here as totals.
-	counter("mpschedrouter_retried_total", "Forward attempts retried by the client layer.", stats.Retries)
-	counter("mpschedrouter_hedged_total", "Forward attempts hedged by the client layer.", stats.Hedges)
-	counter("mpschedrouter_hedge_wins_total", "Hedged attempts that produced the winning response.", stats.HedgeWins)
-	counter("mpschedrouter_breaker_trips_total", "Per-backend circuit-breaker openings.", stats.BreakerTrips)
-	counter("mpschedrouter_breaker_fast_fails_total", "Forwards rejected on an already-open breaker.", stats.BreakerFastFails)
-
-	gauge("mpschedrouter_inflight_requests", "HTTP requests currently being handled.", float64(m.inflight.Load()))
-	gauge("mpschedrouter_uptime_seconds", "Seconds since the router started.", uptime)
-
-	if len(histRoutes) > 0 {
-		fmt.Fprintf(w, "# HELP mpschedrouter_request_seconds End-to-end request latency by route.\n# TYPE mpschedrouter_request_seconds summary\n")
-		for i, r := range histRoutes {
-			summary(w, "mpschedrouter_request_seconds", fmt.Sprintf("route=%q", r), hists[i].Snapshot())
-		}
+	resilience := func(name, help string, v func(client.ResilienceStats) int64) {
+		r.CounterFunc(name, help, func() float64 { return float64(v(rt.root.ResilienceStats())) })
 	}
+	resilience("mpschedrouter_retried_total", "Forward attempts retried by the client layer.",
+		func(s client.ResilienceStats) int64 { return s.Retries })
+	resilience("mpschedrouter_hedged_total", "Forward attempts hedged by the client layer.",
+		func(s client.ResilienceStats) int64 { return s.Hedges })
+	resilience("mpschedrouter_hedge_wins_total", "Hedged attempts that produced the winning response.",
+		func(s client.ResilienceStats) int64 { return s.HedgeWins })
+	resilience("mpschedrouter_breaker_trips_total", "Per-backend circuit-breaker openings.",
+		func(s client.ResilienceStats) int64 { return s.BreakerTrips })
+	resilience("mpschedrouter_breaker_fast_fails_total", "Forwards rejected on an already-open breaker.",
+		func(s client.ResilienceStats) int64 { return s.BreakerFastFails })
+
+	m.inflight = r.Gauge("mpschedrouter_inflight_requests", "HTTP requests currently being handled.")
+	r.GaugeFunc("mpschedrouter_uptime_seconds", "Seconds since the router started.", func() float64 { return time.Since(m.start).Seconds() })
+	m.reqSeconds = r.SummaryVec("mpschedrouter_request_seconds", "End-to-end request latency by route.", "route")
+	return m
 }

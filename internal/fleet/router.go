@@ -121,7 +121,6 @@ func New(opts Options) (*Router, error) {
 	rt := &Router{
 		opts:         opts,
 		fwd:          fwd,
-		metrics:      newRouterMetrics(),
 		traces:       obs.NewRecorder(traceBuffer(opts.TraceBuffer), slowTrace(opts.SlowTrace), opts.Logger),
 		root:         client.New(opts.Backends[0]).WithResilience(res),
 		maxBodyBytes: opts.MaxBodyBytes,
@@ -147,6 +146,7 @@ func New(opts Options) (*Router, error) {
 		}
 		rt.l2 = l2
 	}
+	rt.metrics = newRouterMetrics(rt)
 	rt.pool = newPool(rt.root, opts.Backends, fwd, opts.ProbeTimeout, opts.VNodes, opts.FailAfter)
 	rt.pool.run(opts.ProbeInterval)
 
@@ -157,7 +157,7 @@ func New(opts Options) (*Router, error) {
 	rt.route("GET /v1/jobs/{id}", false, rt.handleGetJob)
 	rt.route("GET /v1/workloads", false, rt.handleWorkloads)
 	rt.route("GET /healthz", false, rt.handleHealthz)
-	rt.route("GET /metrics", false, rt.handleMetrics)
+	rt.route("GET /metrics", false, rt.metrics.reg.ServeHTTP)
 	rt.mux.HandleFunc("GET /debug/traces", rt.handleTraces)
 	rt.mux.HandleFunc("GET /debug/traces/{id}", rt.handleTraceByID)
 	return rt, nil
@@ -199,14 +199,16 @@ func (rt *Router) Backends() []*Backend { return rt.pool.backends }
 // route wrapper, so a trace ID set by the client identifies the request
 // at every hop.
 func (rt *Router) route(pattern string, traced bool, h http.HandlerFunc) {
+	requests := rt.metrics.requests.With(pattern)
+	latency := rt.metrics.reqSeconds.With(pattern)
 	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rt.metrics.incRequest(pattern)
+		requests.Inc()
 		rt.metrics.inflight.Add(1)
 		defer rt.metrics.inflight.Add(-1)
 		start := time.Now()
 		if !traced {
 			h(w, r)
-			rt.metrics.observeRequest(pattern, time.Since(start))
+			latency.Record(time.Since(start))
 			return
 		}
 		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader), pattern, requestCodec(r).Name())
@@ -215,7 +217,7 @@ func (rt *Router) route(pattern string, traced bool, h http.HandlerFunc) {
 		d := time.Since(start)
 		tr.Finish(sw.Status(), d)
 		rt.traces.Record(tr)
-		rt.metrics.observeRequest(pattern, d)
+		latency.Record(d)
 	})
 }
 
@@ -698,11 +700,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Backends:      len(rt.pool.backends),
 		BackendsUp:    rt.pool.upCount(),
 	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.render(w, rt.pool, rt.l2, rt.root.ResilienceStats())
 }
 
 func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {

@@ -238,10 +238,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			jctx, cancel := withBudget(r.Context(), p.budget)
 			defer cancel()
 			res := s.compileJob(jctx, job)
-			s.metrics.observeCompile(res.Elapsed, res.Err)
-			if res.CacheHit {
-				s.metrics.stageCache.Record(res.Elapsed)
-			}
+			s.observeCompile(&res)
 			if res.Err != nil {
 				status := s.compileFailureStatus(r.Context(), jctx, res.Err)
 				if status == http.StatusUnprocessableEntity &&

@@ -36,8 +36,8 @@ func TestAdmissionControl(t *testing.T) {
 	if over.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After")
 	}
-	if s.metrics.jobsRejected.Load() != 1 {
-		t.Errorf("jobsRejected = %d, want 1", s.metrics.jobsRejected.Load())
+	if s.metrics.jobsRejected.Value() != 1 {
+		t.Errorf("jobsRejected = %d, want 1", s.metrics.jobsRejected.Value())
 	}
 }
 

@@ -1,296 +1,134 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpsched/internal/obs"
+	"mpsched/internal/pipeline"
 	"mpsched/internal/store"
 )
 
-// metrics holds the daemon's counters and latency distributions,
-// exported in Prometheus text format at GET /metrics. Counters are
-// lock-free; distributions are log-linear histograms (internal/obs, the
-// same implementation loadgen uses client-side) behind per-family
-// mutexes — O(1) per observation over the full history, replacing the
-// old 2048-sample sort-at-scrape reservoir that silently forgot
-// everything but the most recent window.
+// metrics declares mpschedd's /metrics families on one obs.Registry and
+// holds the handles the serving paths record into. Latency families are
+// log-linear histograms (internal/obs), O(1) per observation over the
+// full history. Values the server owns elsewhere — queue depth, cache
+// and tier stats, uptime — are sampled at scrape time.
 type metrics struct {
+	reg   *obs.Registry
 	start time.Time
 
-	compiles      atomic.Int64 // compile attempts (sync + async + batch)
-	compileErrors atomic.Int64 // attempts that returned an error
+	// requests and reqSeconds are per route (× codec); Server.route
+	// resolves each route's handles once at registration.
+	requests   obs.CounterVec
+	reqSeconds obs.SummaryVec
 
-	jobsSubmitted atomic.Int64 // async jobs accepted into the queue
-	jobsCompleted atomic.Int64 // async jobs finished successfully
-	jobsFailed    atomic.Int64 // async jobs finished with an error
-	jobsRejected  atomic.Int64 // async jobs refused at admission (queue full / draining)
+	compiles      *obs.Counter // compile attempts (sync + async + batch)
+	compileErrors *obs.Counter // attempts that returned an error
 
-	batchJobs     atomic.Int64 // batch jobs admitted across all envelopes
-	batchRejected atomic.Int64 // batch jobs refused at admission (capacity / draining)
+	jobsSubmitted *obs.Counter // async jobs accepted into the queue
+	jobsCompleted *obs.Counter // async jobs finished successfully
+	jobsFailed    *obs.Counter // async jobs finished with an error
+	jobsRejected  *obs.Counter // async jobs refused at admission (queue full / draining)
 
-	inflightRequests atomic.Int64 // HTTP requests currently in a handler
-	inflightBatch    atomic.Int64 // batch jobs admitted and not yet finished
+	batchJobs     *obs.Counter // batch jobs admitted across all envelopes
+	batchRejected *obs.Counter // batch jobs refused at admission (capacity / draining)
 
-	panics          atomic.Int64 // panics isolated (handler or compile); the daemon survived each one
-	deadlineExpired atomic.Int64 // requests/jobs 504ed by their own deadline budget
-	shedAsync       atomic.Int64 // async submissions shed by the brownout controller
-	shedSync        atomic.Int64 // sync compiles/batches shed by the brownout controller
+	panics          *obs.Counter // panics isolated (handler or compile); the daemon survived each one
+	deadlineExpired *obs.Counter // requests/jobs 504ed by their own deadline budget
+	shedAsync       *obs.Counter // async submissions shed by the brownout controller
+	shedSync        *obs.Counter // sync compiles/batches shed by the brownout controller
 
-	// compileOK / compileErr split compile latency by outcome. Errors get
-	// their own distribution instead of being dropped (the old reservoir
-	// recorded nothing for failures, making error storms invisible in the
-	// quantiles — fast-failing requests looked like a healthy p50).
-	compileOK  obs.LockedHistogram
-	compileErr obs.LockedHistogram
+	inflightRequests *obs.Gauge // HTTP requests currently in a handler
+	inflightBatch    *obs.Gauge // batch jobs admitted and not yet finished
 
+	// compileOK / compileErr split compile latency by outcome, so an
+	// error storm shows in its own quantiles instead of vanishing.
+	compileOK  *obs.LockedHistogram
+	compileErr *obs.LockedHistogram
 	// queueWait is the time async jobs spent queued before a worker
 	// picked them up.
-	queueWait obs.LockedHistogram
-
-	mu       sync.Mutex
-	requests map[string]int64 // route pattern → request count
-	// reqHist is end-to-end request latency per route × codec; stages is
-	// compiler-stage wall clock per stage name (plus "cache" for results
-	// served from the result cache). Histogram pointers are created once
-	// per key under mu and then recorded into via their own locks, so the
-	// shared map mutex is held only for a lookup.
-	reqHist map[reqKey]*obs.LockedHistogram
-	stages  map[string]*obs.LockedHistogram
-
-	// stageCache aliases stages["cache"], created eagerly: the batched
-	// cache-hit path records into it per job, and the direct pointer
-	// skips the map lookup under the shared mutex on that storm path.
-	stageCache *obs.LockedHistogram
+	queueWait *obs.LockedHistogram
+	// stages is compiler-stage wall clock by stage name, plus "cache"
+	// for results served from the result cache. Read-only after
+	// newMetrics, so lookups take no lock.
+	stages map[string]*obs.LockedHistogram
 }
 
-// reqKey labels one request-latency series.
-type reqKey struct{ route, codec string }
-
-func newMetrics() *metrics {
-	cache := &obs.LockedHistogram{}
-	return &metrics{
-		start:      time.Now(),
-		requests:   map[string]int64{},
-		reqHist:    map[reqKey]*obs.LockedHistogram{},
-		stages:     map[string]*obs.LockedHistogram{"cache": cache},
-		stageCache: cache,
-	}
-}
-
-// incRequest counts one request against its route pattern.
-func (m *metrics) incRequest(route string) {
-	m.mu.Lock()
-	m.requests[route]++
-	m.mu.Unlock()
-}
-
-// observeRequest records one request's end-to-end latency. Always called
-// after incRequest returns, so at any scrape requests_total ≥ the
-// histogram count — the consistency invariant CI asserts under load.
-func (m *metrics) observeRequest(route, codec string, d time.Duration) {
-	k := reqKey{route, codec}
-	m.mu.Lock()
-	h := m.reqHist[k]
-	if h == nil {
-		h = &obs.LockedHistogram{}
-		m.reqHist[k] = h
-	}
-	m.mu.Unlock()
-	h.Record(d)
-}
-
-// observeCompile records one compile attempt's outcome and latency.
-// Failed compiles record too, under their own outcome label.
-func (m *metrics) observeCompile(d time.Duration, err error) {
-	m.compiles.Add(1)
-	if err != nil {
-		m.compileErrors.Add(1)
-		m.compileErr.Record(d)
-		return
-	}
-	m.compileOK.Record(d)
-}
-
-// observeStage records one compiler stage's wall clock.
-func (m *metrics) observeStage(stage string, d time.Duration) {
-	m.mu.Lock()
-	h := m.stages[stage]
-	if h == nil {
-		h = &obs.LockedHistogram{}
-		m.stages[stage] = h
-	}
-	m.mu.Unlock()
-	h.Record(d)
-}
-
-// observeQueueWait records how long an async job waited for a worker.
-func (m *metrics) observeQueueWait(d time.Duration) {
-	m.queueWait.Record(d)
-}
-
-// summary writes one label set of a summary family: the p50/p99
-// quantile samples plus the _sum and _count series Prometheus
-// conventions expect. labels is the pre-rendered label prefix without
-// the quantile (e.g. `route="POST /v1/compile",codec="json"`), or "".
-func summary(w io.Writer, name, labels string, h obs.Histogram) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	fmt.Fprintf(w, "%s{%s%squantile=\"0.5\"} %g\n", name, labels, sep, h.Quantile(0.5).Seconds())
-	fmt.Fprintf(w, "%s{%s%squantile=\"0.99\"} %g\n", name, labels, sep, h.Quantile(0.99).Seconds())
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum().Seconds(), name, h.Count())
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, h.Sum().Seconds(), name, labels, h.Count())
-	}
-}
-
-// render writes the Prometheus text exposition. queueDepth and cache
-// state are sampled by the caller so metrics stays decoupled from Server.
-// tiers, when non-empty, is the per-tier breakdown of a tiered result
-// store (memory + disk).
-func (m *metrics) render(w io.Writer, queueDepth, queueCap int, cacheHits, cacheMisses int64, cacheEntries int, tiers []store.TierStats) {
-	uptime := time.Since(m.start).Seconds()
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	// Snapshot every labeled family under one lock hold, render after.
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.requests))
-	for r := range m.requests {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	counts := make([]int64, len(routes))
-	for i, r := range routes {
-		counts[i] = m.requests[r]
-	}
-	reqKeys := make([]reqKey, 0, len(m.reqHist))
-	for k := range m.reqHist {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Slice(reqKeys, func(i, j int) bool {
-		if reqKeys[i].route != reqKeys[j].route {
-			return reqKeys[i].route < reqKeys[j].route
+func newMetrics(s *Server) *metrics {
+	r := obs.NewRegistry()
+	m := &metrics{reg: r, start: time.Now()}
+	cacheStats := func() store.Stats {
+		if s.cache == nil {
+			return store.Stats{}
 		}
-		return reqKeys[i].codec < reqKeys[j].codec
-	})
-	reqHists := make([]*obs.LockedHistogram, len(reqKeys))
-	for i, k := range reqKeys {
-		reqHists[i] = m.reqHist[k]
-	}
-	stageNames := make([]string, 0, len(m.stages))
-	for st := range m.stages {
-		stageNames = append(stageNames, st)
-	}
-	sort.Strings(stageNames)
-	stageHists := make([]*obs.LockedHistogram, len(stageNames))
-	for i, st := range stageNames {
-		stageHists[i] = m.stages[st]
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP mpschedd_requests_total HTTP requests by route.\n# TYPE mpschedd_requests_total counter\n")
-	for i, r := range routes {
-		fmt.Fprintf(w, "mpschedd_requests_total{route=%q} %d\n", r, counts[i])
+		return s.cache.Stats()
 	}
 
-	counter("mpschedd_compiles_total", "Compile attempts (sync and async).", m.compiles.Load())
-	counter("mpschedd_compile_errors_total", "Compile attempts that failed.", m.compileErrors.Load())
-	counter("mpschedd_cache_hits_total", "Result-cache hits.", cacheHits)
-	counter("mpschedd_cache_misses_total", "Result-cache misses.", cacheMisses)
-	gauge("mpschedd_cache_entries", "Results currently cached.", float64(cacheEntries))
+	m.requests = r.CounterVec("mpschedd_requests_total", "HTTP requests by route.", "route")
+	m.compiles = r.Counter("mpschedd_compiles_total", "Compile attempts (sync and async).")
+	m.compileErrors = r.Counter("mpschedd_compile_errors_total", "Compile attempts that failed.")
+	r.CounterFunc("mpschedd_cache_hits_total", "Result-cache hits.", func() float64 { return float64(cacheStats().Hits) })
+	r.CounterFunc("mpschedd_cache_misses_total", "Result-cache misses.", func() float64 { return float64(cacheStats().Misses) })
+	r.GaugeFunc("mpschedd_cache_entries", "Results currently cached.", func() float64 { return float64(cacheStats().Entries) })
 
-	if len(tiers) > 0 {
-		tierFamily := func(name, help, kind string, v func(store.TierStats) float64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-			for _, t := range tiers {
-				fmt.Fprintf(w, "%s{tier=%q} %g\n", name, t.Tier, v(t))
+	// A tiered store additionally exposes per-tier breakdowns; plain
+	// memory caches emit none, so these families are left out.
+	tier := func(name, help string, kind obs.Kind, v func(store.TierStats) int64) {
+		r.Sampled(name, help, kind, []string{"tier"}, func(emit func(float64, ...string)) {
+			if t, ok := s.cache.(store.Tiers); ok {
+				for _, ts := range t.Tiers() {
+					emit(float64(v(ts)), ts.Tier)
+				}
 			}
+		})
+	}
+	tier("mpschedd_store_hits_total", "Result-store hits by tier.", obs.CounterKind,
+		func(t store.TierStats) int64 { return t.Hits })
+	tier("mpschedd_store_misses_total", "Result-store misses by tier.", obs.CounterKind,
+		func(t store.TierStats) int64 { return t.Misses })
+	tier("mpschedd_store_evictions_total", "Result-store evictions by tier.", obs.CounterKind,
+		func(t store.TierStats) int64 { return t.Evictions })
+	tier("mpschedd_store_entries", "Results currently stored by tier.", obs.GaugeKind,
+		func(t store.TierStats) int64 { return int64(t.Entries) })
+	tier("mpschedd_store_bytes", "Bytes held by tier (disk tiers only).", obs.GaugeKind,
+		func(t store.TierStats) int64 { return t.Bytes })
+
+	m.jobsSubmitted = r.Counter("mpschedd_jobs_submitted_total", "Async jobs accepted into the queue.")
+	m.jobsCompleted = r.Counter("mpschedd_jobs_completed_total", "Async jobs finished successfully.")
+	m.jobsFailed = r.Counter("mpschedd_jobs_failed_total", "Async jobs finished with an error.")
+	m.jobsRejected = r.Counter("mpschedd_jobs_rejected_total", "Async jobs refused at admission.")
+	m.batchJobs = r.Counter("mpschedd_batch_jobs_total", "Batch jobs admitted across all envelopes.")
+	m.batchRejected = r.Counter("mpschedd_batch_rejected_total", "Batch jobs refused at admission.")
+	m.panics = r.Counter("mpschedd_panics_total", "Panics isolated to one request or job; the daemon survived each.")
+	m.deadlineExpired = r.Counter("mpschedd_deadline_expired_total", "Requests or jobs that ran out of their deadline budget.")
+	const shedHelp = "Work shed by the brownout controller, by class."
+	m.shedAsync = r.Counter("mpschedd_shed_total", shedHelp, "class", "async")
+	m.shedSync = r.Counter("mpschedd_shed_total", shedHelp, "class", "sync")
+
+	r.GaugeFunc("mpschedd_queue_depth", "Async jobs waiting in the queue.", func() float64 { return float64(len(s.queue)) })
+	r.GaugeFunc("mpschedd_queue_capacity", "Async queue admission bound.", func() float64 { return float64(s.opts.QueueDepth) })
+	m.inflightRequests = r.Gauge("mpschedd_inflight_requests", "HTTP requests currently being handled.")
+	m.inflightBatch = r.Gauge("mpschedd_inflight_batch_jobs", "Batch jobs admitted and not yet finished.")
+	r.GaugeFunc("mpschedd_uptime_seconds", "Seconds since the daemon started.", func() float64 { return time.Since(m.start).Seconds() })
+	// Every compile — sync, async or batch — passes through
+	// observeCompile, so successful compiles is the jobs/sec numerator.
+	r.GaugeFunc("mpschedd_jobs_per_second", "Successful compiles per second of uptime.", func() float64 {
+		uptime := time.Since(m.start).Seconds()
+		if uptime <= 0 {
+			return 0
 		}
-		tierFamily("mpschedd_store_hits_total", "Result-store hits by tier.", "counter",
-			func(t store.TierStats) float64 { return float64(t.Hits) })
-		tierFamily("mpschedd_store_misses_total", "Result-store misses by tier.", "counter",
-			func(t store.TierStats) float64 { return float64(t.Misses) })
-		tierFamily("mpschedd_store_evictions_total", "Result-store evictions by tier.", "counter",
-			func(t store.TierStats) float64 { return float64(t.Evictions) })
-		tierFamily("mpschedd_store_entries", "Results currently stored by tier.", "gauge",
-			func(t store.TierStats) float64 { return float64(t.Entries) })
-		tierFamily("mpschedd_store_bytes", "Bytes held by tier (disk tiers only).", "gauge",
-			func(t store.TierStats) float64 { return float64(t.Bytes) })
+		return float64(m.compiles.Value()-m.compileErrors.Value()) / uptime
+	})
+
+	m.reqSeconds = r.SummaryVec("mpschedd_request_seconds", "End-to-end request latency by route and codec.", "route", "codec")
+	const compileHelp = "Compile wall-clock latency by outcome."
+	m.compileOK = r.Summary("mpschedd_compile_seconds", compileHelp, "outcome", "ok")
+	m.compileErr = r.Summary("mpschedd_compile_seconds", compileHelp, "outcome", "error")
+	m.queueWait = r.Summary("mpschedd_queue_wait_seconds", "Async job wait from admission to a worker picking it up.")
+	stage := r.SummaryVec("mpschedd_stage_seconds", `Compiler stage wall clock by stage ("cache" = served from the result cache).`, "stage")
+	m.stages = map[string]*obs.LockedHistogram{"cache": stage.With("cache")}
+	for st := pipeline.StageParse; st <= pipeline.StageAllocate; st++ {
+		m.stages[st.String()] = stage.With(st.String())
 	}
-
-	counter("mpschedd_jobs_submitted_total", "Async jobs accepted into the queue.", m.jobsSubmitted.Load())
-	counter("mpschedd_jobs_completed_total", "Async jobs finished successfully.", m.jobsCompleted.Load())
-	counter("mpschedd_jobs_failed_total", "Async jobs finished with an error.", m.jobsFailed.Load())
-	counter("mpschedd_jobs_rejected_total", "Async jobs refused at admission.", m.jobsRejected.Load())
-
-	counter("mpschedd_batch_jobs_total", "Batch jobs admitted across all envelopes.", m.batchJobs.Load())
-	counter("mpschedd_batch_rejected_total", "Batch jobs refused at admission.", m.batchRejected.Load())
-
-	counter("mpschedd_panics_total", "Panics isolated to one request or job; the daemon survived each.", m.panics.Load())
-	counter("mpschedd_deadline_expired_total", "Requests or jobs that ran out of their deadline budget.", m.deadlineExpired.Load())
-	fmt.Fprintf(w, "# HELP mpschedd_shed_total Work shed by the brownout controller, by class.\n# TYPE mpschedd_shed_total counter\n")
-	fmt.Fprintf(w, "mpschedd_shed_total{class=\"async\"} %d\n", m.shedAsync.Load())
-	fmt.Fprintf(w, "mpschedd_shed_total{class=\"sync\"} %d\n", m.shedSync.Load())
-
-	gauge("mpschedd_queue_depth", "Async jobs waiting in the queue.", float64(queueDepth))
-	gauge("mpschedd_queue_capacity", "Async queue admission bound.", float64(queueCap))
-	gauge("mpschedd_inflight_requests", "HTTP requests currently being handled.", float64(m.inflightRequests.Load()))
-	gauge("mpschedd_inflight_batch_jobs", "Batch jobs admitted and not yet finished.", float64(m.inflightBatch.Load()))
-	gauge("mpschedd_uptime_seconds", "Seconds since the daemon started.", uptime)
-
-	// Every compile — sync or async — passes through observeCompile, so
-	// successful compiles is the jobs/sec numerator.
-	completed := m.compiles.Load() - m.compileErrors.Load()
-	jps := 0.0
-	if uptime > 0 {
-		jps = float64(completed) / uptime
-	}
-	gauge("mpschedd_jobs_per_second", "Successful compiles per second of uptime.", jps)
-
-	if len(reqKeys) > 0 {
-		fmt.Fprintf(w, "# HELP mpschedd_request_seconds End-to-end request latency by route and codec.\n# TYPE mpschedd_request_seconds summary\n")
-		for i, k := range reqKeys {
-			labels := fmt.Sprintf("route=%q,codec=%q", k.route, k.codec)
-			summary(w, "mpschedd_request_seconds", labels, reqHists[i].Snapshot())
-		}
-	}
-
-	// mpschedd_compile_seconds replaces the pre-observability
-	// mpschedd_compile_latency_seconds summary (which sampled only the
-	// last 2048 successes). Outcome-labeled so error latency is visible.
-	okSnap, errSnap := m.compileOK.Snapshot(), m.compileErr.Snapshot()
-	if okSnap.Count() > 0 || errSnap.Count() > 0 {
-		fmt.Fprintf(w, "# HELP mpschedd_compile_seconds Compile wall-clock latency by outcome.\n# TYPE mpschedd_compile_seconds summary\n")
-		if okSnap.Count() > 0 {
-			summary(w, "mpschedd_compile_seconds", `outcome="ok"`, okSnap)
-		}
-		if errSnap.Count() > 0 {
-			summary(w, "mpschedd_compile_seconds", `outcome="error"`, errSnap)
-		}
-	}
-
-	if qw := m.queueWait.Snapshot(); qw.Count() > 0 {
-		fmt.Fprintf(w, "# HELP mpschedd_queue_wait_seconds Async job wait from admission to a worker picking it up.\n# TYPE mpschedd_queue_wait_seconds summary\n")
-		summary(w, "mpschedd_queue_wait_seconds", "", qw)
-	}
-
-	if len(stageNames) > 0 {
-		fmt.Fprintf(w, "# HELP mpschedd_stage_seconds Compiler stage wall clock by stage (\"cache\" = served from the result cache).\n# TYPE mpschedd_stage_seconds summary\n")
-		for i, st := range stageNames {
-			summary(w, "mpschedd_stage_seconds", fmt.Sprintf("stage=%q", st), stageHists[i].Snapshot())
-		}
-	}
+	return m
 }

@@ -75,9 +75,9 @@ func TestShedBrownout(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Errorf("healthz in deep brownout: status %d — health checks must never shed", hz.StatusCode)
 	}
-	if s.metrics.shedAsync.Load() < 1 || s.metrics.shedSync.Load() < 1 {
+	if s.metrics.shedAsync.Value() < 1 || s.metrics.shedSync.Value() < 1 {
 		t.Errorf("shed metrics async=%d sync=%d, want both ≥ 1",
-			s.metrics.shedAsync.Load(), s.metrics.shedSync.Load())
+			s.metrics.shedAsync.Value(), s.metrics.shedSync.Value())
 	}
 
 	// Congestion ages out: two idle windows later everything serves again.

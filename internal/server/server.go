@@ -46,7 +46,6 @@ import (
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
 	"mpsched/internal/resilience"
-	"mpsched/internal/store"
 	"mpsched/internal/wire"
 )
 
@@ -240,7 +239,6 @@ func newServer(opts Options, startWorkers bool) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:      opts,
-		metrics:   newMetrics(),
 		store:     newJobStore(opts.MaxStoredJobs),
 		traces:    obs.NewRecorder(opts.TraceBuffer, opts.SlowTrace, opts.Logger),
 		queue:     make(chan *asyncJob, opts.QueueDepth),
@@ -248,6 +246,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 		drainCh:   make(chan struct{}),
 		drainDone: make(chan struct{}),
 	}
+	s.metrics = newMetrics(s)
 	switch {
 	case opts.Cache != nil:
 		s.cache = opts.Cache
@@ -265,7 +264,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 	s.route("GET /v1/jobs/{id}", false, s.handleGetJob)
 	s.route("GET /v1/workloads", false, s.handleWorkloads)
 	s.route("GET /healthz", false, s.handleHealthz)
-	s.route("GET /metrics", false, s.handleMetrics)
+	s.route("GET /metrics", false, s.metrics.reg.ServeHTTP)
 	// The trace endpoints are registered directly on the mux, like pprof,
 	// so the debug subtree stays out of the request metrics.
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
@@ -321,21 +320,29 @@ func batchWorkers(queueWorkers int) int {
 
 // route registers a handler with request accounting: the requests_total
 // counter, the in-flight gauge and the per-route × per-codec latency
-// histogram. Traced routes (the compile path) additionally get a
-// per-request obs.Trace — created from the X-Mpsched-Trace header (or
-// generated), carried in the request context for handlers to attach
-// spans, echoed on the response, and recorded into the /debug/traces
-// ring when the request finishes.
+// histogram, whose handles are resolved here once per route. Traced
+// routes (the compile path) additionally get a per-request obs.Trace —
+// created from the X-Mpsched-Trace header (or generated), carried in the
+// request context for handlers to attach spans, echoed on the response,
+// and recorded into the /debug/traces ring when the request finishes.
 func (s *Server) route(pattern string, traced bool, h http.HandlerFunc) {
+	requests := s.metrics.requests.With(pattern)
+	latency := map[string]*obs.LockedHistogram{}
+	for _, c := range wire.Codecs() {
+		latency[c.Name()] = s.metrics.reqSeconds.With(pattern, c.Name())
+	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.incRequest(pattern)
+		// Counted before the latency is recorded, so at any scrape
+		// requests_total ≥ the histogram count — the consistency
+		// invariant CI asserts under load.
+		requests.Inc()
 		s.metrics.inflightRequests.Add(1)
 		defer s.metrics.inflightRequests.Add(-1)
 		codec := requestCodec(r).Name()
 		start := time.Now()
 		if !traced {
 			s.safely(w, r, h)
-			s.metrics.observeRequest(pattern, codec, time.Since(start))
+			latency[codec].Record(time.Since(start))
 			return
 		}
 		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader), pattern, codec)
@@ -344,7 +351,7 @@ func (s *Server) route(pattern string, traced bool, h http.HandlerFunc) {
 		d := time.Since(start)
 		tr.Finish(sw.Status(), d)
 		s.traces.Record(tr)
-		s.metrics.observeRequest(pattern, codec, d)
+		latency[codec].Record(d)
 	})
 }
 
@@ -385,7 +392,7 @@ func (s *Server) worker() {
 func (s *Server) process(j *asyncJob) {
 	if !j.submitted.IsZero() {
 		wait := time.Since(j.submitted)
-		s.metrics.observeQueueWait(wait)
+		s.metrics.queueWait.Record(wait)
 		s.shed.Observe(wait)
 		j.trace.Observe("queue_wait", -1, j.submitted, wait)
 	}
@@ -612,23 +619,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    len(s.queue),
 		Draining:      s.draining.Load(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var hits, misses int64
-	entries := 0
-	var tiers []store.TierStats
-	if s.cache != nil {
-		st := s.cache.Stats()
-		hits, misses, entries = st.Hits, st.Misses, st.Entries
-		// A tiered store additionally exposes per-tier hit/miss/evict/size
-		// breakdowns; plain memory caches render only the totals above.
-		if t, ok := s.cache.(store.Tiers); ok {
-			tiers = t.Tiers()
-		}
-	}
-	s.metrics.render(w, len(s.queue), s.opts.QueueDepth, hits, misses, entries, tiers)
 }
 
 // ---- plumbing ----

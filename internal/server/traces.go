@@ -70,7 +70,7 @@ func (w *statusWriter) Status() int {
 // "stage:cache" span instead, so the warm path pays the hook nothing.
 func (s *Server) stageHook(tr *obs.Trace, jobIdx int) pipeline.StageHook {
 	return func(info pipeline.StageInfo) {
-		s.metrics.observeStage(info.Stage.String(), info.Elapsed)
+		s.metrics.stages[info.Stage.String()].Record(info.Elapsed)
 		tr.Observe("stage:"+info.Stage.String(), jobIdx, time.Now().Add(-info.Elapsed), info.Elapsed)
 	}
 }
@@ -84,16 +84,32 @@ func (s *Server) stageHook(tr *obs.Trace, jobIdx int) pipeline.StageHook {
 // res is a pointer only to keep the per-job call on the batched storm
 // path from copying the whole Result.
 func (s *Server) observeCompileResult(tr *obs.Trace, jobIdx int, res *pipeline.Result) {
-	s.metrics.observeCompile(res.Elapsed, res.Err)
+	s.observeCompile(res)
 	if tr == nil {
 		return
 	}
 	start := time.Now().Add(-res.Elapsed)
 	tr.Observe("compile", jobIdx, start, res.Elapsed)
 	if res.CacheHit {
-		s.metrics.observeStage("cache", res.Elapsed)
 		tr.Observe("stage:cache", jobIdx, start, res.Elapsed)
 	}
+}
+
+// observeCompile records one compile attempt into the metrics: its
+// outcome and latency — failed compiles record too, under their own
+// outcome label — and, for a cache hit, the synthetic "cache" stage.
+func (s *Server) observeCompile(res *pipeline.Result) {
+	m := s.metrics
+	m.compiles.Inc()
+	if res.CacheHit {
+		m.stages["cache"].Record(res.Elapsed)
+	}
+	if res.Err != nil {
+		m.compileErrors.Inc()
+		m.compileErr.Record(res.Elapsed)
+		return
+	}
+	m.compileOK.Record(res.Elapsed)
 }
 
 // tracesResponse is the body of GET /debug/traces.
