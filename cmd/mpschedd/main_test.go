@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"mpsched/internal/server"
 	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
 )
@@ -70,14 +69,14 @@ func TestServeCompileAndGracefulShutdown(t *testing.T) {
 	if _, err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	resp, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"})
+	resp, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	if resp.Cycles <= 0 {
 		t.Fatalf("degenerate compile: %+v", resp)
 	}
-	job, err := c.SubmitJob(ctx, server.CompileRequest{Workload: "ndft:4"})
+	job, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: "ndft:4"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -85,7 +84,7 @@ func TestServeCompileAndGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if final.Status != server.JobDone {
+	if final.Status != wire.JobDone {
 		t.Fatalf("job ended %q (%s)", final.Status, final.Error)
 	}
 
@@ -177,9 +176,9 @@ func TestDrainWithInFlightBatchStream(t *testing.T) {
 			// open long enough for the signal to land mid-flight.
 			addr, errOut, shutdown := startDaemon(t, "-cache-entries", "-1")
 
-			jobs := make([]server.CompileRequest, 12)
+			jobs := make([]wire.CompileRequest, 12)
 			for i := range jobs {
-				jobs[i] = server.CompileRequest{Workload: fmt.Sprintf("random:seed=%d,n=40,colors=2", i+1)}
+				jobs[i] = wire.CompileRequest{Workload: fmt.Sprintf("random:seed=%d,n=40,colors=2", i+1)}
 			}
 			var body bytes.Buffer
 			if err := codec.EncodeBatch(&body, &wire.BatchRequest{Jobs: jobs}); err != nil {
@@ -202,15 +201,15 @@ func TestDrainWithInFlightBatchStream(t *testing.T) {
 
 			// One item in hand proves the stream is live; then pull the rug.
 			ir := codec.NewItemReader(resp.Body)
-			var first server.BatchItem
+			var first wire.BatchItem
 			if err := ir.ReadItem(&first); err != nil {
 				t.Fatalf("first item: %v", err)
 			}
-			got := []server.BatchItem{first}
+			got := []wire.BatchItem{first}
 			code := shutdown()
 
 			for {
-				var it server.BatchItem
+				var it wire.BatchItem
 				err := ir.ReadItem(&it)
 				if err == io.EOF {
 					break
@@ -250,7 +249,7 @@ func TestChaosFlag(t *testing.T) {
 	if _, err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz must dodge chaos: %v", err)
 	}
-	_, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"})
+	_, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("compile under err=100%%: %v, want APIError 500", err)

@@ -12,6 +12,7 @@ import (
 
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
+	"mpsched/internal/wire"
 )
 
 func TestHelpExitsZero(t *testing.T) {
@@ -92,7 +93,7 @@ func TestServeCompileAndGracefulShutdown(t *testing.T) {
 	if h, err := c.Healthz(ctx); err != nil || h.Status != "ok" {
 		t.Fatalf("healthz: %+v, %v", h, err)
 	}
-	resp, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"})
+	resp, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatalf("compile through router: %v", err)
 	}

@@ -87,7 +87,7 @@ func TestRouterCompileBothCodecsAndAffinity(t *testing.T) {
 
 	for _, codec := range wire.Codecs() {
 		c := client.New(f.rts.URL).WithCodec(codec)
-		resp, err := c.Compile(ctx, server.CompileRequest{Workload: "fft:8"})
+		resp, err := c.Compile(ctx, wire.CompileRequest{Workload: "fft:8"})
 		if err != nil {
 			t.Fatalf("[%s] Compile: %v", codec.Name(), err)
 		}
@@ -114,7 +114,7 @@ func TestRouterCompileBothCodecsAndAffinity(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for _, spec := range specs {
-			if _, err := c.Compile(ctx, server.CompileRequest{Workload: spec}); err != nil {
+			if _, err := c.Compile(ctx, wire.CompileRequest{Workload: spec}); err != nil {
 				t.Fatalf("round %d %s: %v", round, spec, err)
 			}
 		}
@@ -146,14 +146,14 @@ func TestRouterBatchSplitMerge(t *testing.T) {
 	f := newTestFleet(t, 2, nil)
 	ctx := context.Background()
 
-	var reqs []server.CompileRequest
+	var reqs []wire.CompileRequest
 	for i := 0; i < 12; i++ {
-		reqs = append(reqs, server.CompileRequest{Workload: fmt.Sprintf("random:seed=%d,n=16", i+1)})
+		reqs = append(reqs, wire.CompileRequest{Workload: fmt.Sprintf("random:seed=%d,n=16", i+1)})
 	}
 	badIdx := len(reqs)
-	reqs = append(reqs, server.CompileRequest{Workload: "no-such-workload:1"})
+	reqs = append(reqs, wire.CompileRequest{Workload: "no-such-workload:1"})
 	dfgIdx := len(reqs)
-	reqs = append(reqs, server.CompileRequest{
+	reqs = append(reqs, wire.CompileRequest{
 		DFG: json.RawMessage(`{"name":"pair","nodes":[{"name":"a","color":"a"},{"name":"b","color":"a"}],"edges":[[0,1]]}`),
 	})
 
@@ -228,7 +228,7 @@ func TestRouterTraceAndDeadlineHop(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	c := client.New(rts.URL)
-	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "fft:8", TraceID: "tracehop0001"}); err != nil {
+	if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "fft:8", TraceID: "tracehop0001"}); err != nil {
 		t.Fatalf("Compile through stub: %v", err)
 	}
 
@@ -267,7 +267,7 @@ func TestRouterL2ServesAcrossRebalance(t *testing.T) {
 	c := client.New(f.rts.URL)
 
 	const spec = "fft:8"
-	first, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
+	first, err := c.Compile(ctx, wire.CompileRequest{Workload: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRouterL2ServesAcrossRebalance(t *testing.T) {
 
 	// First request after the rebalance: served from the router's shared
 	// cache — the old owner's work — not recompiled on the survivor.
-	second, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
+	second, err := c.Compile(ctx, wire.CompileRequest{Workload: spec})
 	if err != nil {
 		t.Fatalf("compile after rebalance: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestRouterL2ServesAcrossRebalance(t *testing.T) {
 
 	// The handover updated the owner, so the next request forwards to the
 	// survivor and warms it — a genuine compile, not a cached copy.
-	third, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
+	third, err := c.Compile(ctx, wire.CompileRequest{Workload: spec})
 	if err != nil {
 		t.Fatalf("compile after handover: %v", err)
 	}
@@ -346,7 +346,7 @@ func TestRouterPassesBackpressureThrough(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	_, err = client.New(rts.URL).Compile(context.Background(), server.CompileRequest{Workload: "fft:8"})
+	_, err = client.New(rts.URL).Compile(context.Background(), wire.CompileRequest{Workload: "fft:8"})
 	var api *client.APIError
 	if !errors.As(err, &api) || api.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want APIError 429", err)
@@ -368,7 +368,7 @@ func TestRouterAsyncJobsThroughRouter(t *testing.T) {
 	defer cancel()
 	c := client.New(f.rts.URL)
 
-	job, err := c.SubmitJob(ctx, server.CompileRequest{Workload: "fft:8"})
+	job, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: "fft:8"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestRouterAsyncJobsThroughRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.Status != server.JobDone || done.Result == nil || done.Result.Cycles <= 0 {
+	if done.Status != wire.JobDone || done.Result == nil || done.Result.Cycles <= 0 {
 		t.Fatalf("job finished %s with result %+v", done.Status, done.Result)
 	}
 	if _, err := c.Job(ctx, "not-a-job"); err == nil {
@@ -392,7 +392,7 @@ func TestRouterMetricsSurface(t *testing.T) {
 	ctx := context.Background()
 	c := client.New(f.rts.URL)
 	for i := 0; i < 4; i++ {
-		if _, err := c.Compile(ctx, server.CompileRequest{Workload: fmt.Sprintf("random:seed=%d,n=16", i+1)}); err != nil {
+		if _, err := c.Compile(ctx, wire.CompileRequest{Workload: fmt.Sprintf("random:seed=%d,n=16", i+1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestRouterKillBackendMidStorm(t *testing.T) {
 			// Warm every key so failover has cache-height to stand on.
 			warm := client.New(f.rts.URL).WithCodec(codec)
 			for _, spec := range specs {
-				if _, err := warm.Compile(context.Background(), server.CompileRequest{Workload: spec}); err != nil {
+				if _, err := warm.Compile(context.Background(), wire.CompileRequest{Workload: spec}); err != nil {
 					t.Fatalf("warm %s: %v", spec, err)
 				}
 			}
@@ -475,9 +475,9 @@ func TestRouterKillBackendMidStorm(t *testing.T) {
 						}
 						spec := specs[(w*7+i)%len(specs)]
 						if i%3 == 0 {
-							reqs := make([]server.CompileRequest, 8)
+							reqs := make([]wire.CompileRequest, 8)
 							for j := range reqs {
-								reqs[j] = server.CompileRequest{Workload: specs[(w+i+j)%len(specs)]}
+								reqs[j] = wire.CompileRequest{Workload: specs[(w+i+j)%len(specs)]}
 							}
 							items, err := c.CompileBatch(ctx, reqs)
 							if err != nil {
@@ -492,7 +492,7 @@ func TestRouterKillBackendMidStorm(t *testing.T) {
 										fmt.Errorf("status %d: %s", it.Status, it.Error))
 								}
 							}
-						} else if _, err := c.Compile(ctx, server.CompileRequest{Workload: spec}); err != nil && !only429(err) {
+						} else if _, err := c.Compile(ctx, wire.CompileRequest{Workload: spec}); err != nil && !only429(err) {
 							bad.Store(fmt.Sprintf("compile w%d i%d", w, i), err)
 						}
 					}

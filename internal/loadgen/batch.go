@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"mpsched/internal/server"
 	"mpsched/internal/server/client"
+	"mpsched/internal/wire"
 )
 
 // BatchTarget drives a live mpschedd over /v1/batch: concurrent Do calls
@@ -133,7 +133,7 @@ func (t *BatchTarget) dispatch() {
 }
 
 func (t *BatchTarget) flush(calls []batchCall) {
-	reqs := make([]server.CompileRequest, len(calls))
+	reqs := make([]wire.CompileRequest, len(calls))
 	for i := range calls {
 		reqs[i] = compileRequest(calls[i].item)
 	}
@@ -154,7 +154,7 @@ func (t *BatchTarget) flush(calls []batchCall) {
 
 // classifyItem maps a batch item's per-job status onto the Reply
 // states, mirroring RemoteTarget.Do's classification of HTTP statuses.
-func classifyItem(it server.BatchItem) Reply {
+func classifyItem(it wire.BatchItem) Reply {
 	switch it.Status {
 	case http.StatusOK:
 		return Reply{CacheHit: it.Result != nil && it.Result.CacheHit}

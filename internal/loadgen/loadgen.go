@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpsched/internal/obs"
 )
 
 // Mode selects the generator shape.
@@ -140,7 +142,7 @@ type Result struct {
 	// Hist is the latency histogram over successful and rejected requests
 	// (a fast 429 is a real response; errors are excluded so a storm of
 	// instant failures cannot fake a good p99).
-	Hist *Histogram
+	Hist *obs.Histogram
 	// ErrorSamples holds up to five distinct failure strings for triage.
 	ErrorSamples []string
 }
@@ -156,7 +158,7 @@ func (r *Result) CacheHitRatio() float64 {
 // collector accumulates outcomes from concurrent workers.
 type collector struct {
 	mu      sync.Mutex
-	hist    Histogram
+	hist    obs.Histogram
 	success int64
 	errs    int64
 	reject  int64

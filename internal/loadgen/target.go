@@ -8,8 +8,8 @@ import (
 	"mpsched/internal/dfg"
 	"mpsched/internal/patsel"
 	"mpsched/internal/pipeline"
-	"mpsched/internal/server"
 	"mpsched/internal/server/client"
+	"mpsched/internal/wire"
 )
 
 // Item is one compile the generators replay: a resolved graph for the
@@ -102,10 +102,10 @@ func (t *RemoteTarget) Name() string { return t.c.BaseURL() }
 // compileRequest lowers an Item to the wire request both remote targets
 // send: spec-addressed (the daemon regenerates the identical graph) with
 // the item's selection knobs spelled out.
-func compileRequest(it Item) server.CompileRequest {
-	return server.CompileRequest{
+func compileRequest(it Item) wire.CompileRequest {
+	return wire.CompileRequest{
 		Workload: it.Spec,
-		Select: &server.SelectConfig{
+		Select: &wire.SelectConfig{
 			C:       it.Select.C,
 			Pdef:    it.Select.Pdef,
 			Span:    it.Select.MaxSpan,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"sort"
 	"strings"
-	"sync"
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/dfg"
@@ -13,32 +12,6 @@ import (
 	"mpsched/internal/pipeline"
 	"mpsched/internal/sched"
 	"mpsched/internal/wire"
-)
-
-// The serving wire types live in internal/wire, shared by this server,
-// the typed client and every codec. The aliases keep the server's
-// historical names (server.CompileRequest and friends) working.
-type (
-	CompileRequest      = wire.CompileRequest
-	SelectConfig        = wire.SelectConfig
-	SchedConfig         = wire.SchedConfig
-	CompileResponse     = wire.CompileResponse
-	CensusResponse      = wire.CensusResponse
-	StageTimingResponse = wire.StageTimingResponse
-	JobResponse         = wire.JobResponse
-	ErrorResponse       = wire.ErrorResponse
-	HealthResponse      = wire.HealthResponse
-	WorkloadsResponse   = wire.WorkloadsResponse
-	BatchRequest        = wire.BatchRequest
-	BatchItem           = wire.BatchItem
-)
-
-// Job lifecycle states reported by /v1/jobs/{id}.
-const (
-	JobQueued  = wire.JobQueued
-	JobRunning = wire.JobRunning
-	JobDone    = wire.JobDone
-	JobFailed  = wire.JobFailed
 )
 
 // badRequestError marks request-shaped failures (malformed graph, unknown
@@ -54,9 +27,9 @@ func (e badRequestError) Unwrap() error { return e.err }
 // resolves the graph and converts the wire configs. A non-nil graph is a
 // pre-resolved substitute for req.Workload (the server's spec cache
 // path — see Server.resolveJob).
-func toJob(req CompileRequest) (pipeline.Job, error) { return toJobGraph(req, nil) }
+func toJob(req wire.CompileRequest) (pipeline.Job, error) { return toJobGraph(req, nil) }
 
-func toJobGraph(req CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
+func toJobGraph(req wire.CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
 	job := pipeline.Job{Name: req.Name}
 	if err := validateRequest(req); err != nil {
 		return job, badRequestError{err}
@@ -123,16 +96,8 @@ const defaultPdef = 4
 // toResponse converts a successful pipeline result to the wire shape.
 // Fields are filled stage by stage, so partial compiles (stop_after)
 // render exactly what they produced.
-//
-// The schedule-derived fields (pattern strings, cycles, utilization, the
-// lower bound, the per-node assignments) are pure functions of the
-// schedule, which result-cache hits share by pointer — so they are
-// memoised in s.resps and computed once per distinct schedule, not per
-// request. The memo entry is a frozen skeleton: responses copy the
-// scalar fields and alias the slices, which nothing mutates after this
-// point.
-func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
-	resp := &CompileResponse{
+func toResponse(r pipeline.Result) *wire.CompileResponse {
+	resp := &wire.CompileResponse{
 		Name:       r.Job.Label(),
 		Nodes:      r.Job.Graph.N(),
 		EdgesCount: r.Job.Graph.M(),
@@ -147,14 +112,14 @@ func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
 		resp.SweptSpans = rep.SweptSpans
 		resp.Delta = rep.DeltaBase != ""
 		if rep.Census != nil {
-			resp.Census = &CensusResponse{
+			resp.Census = &wire.CensusResponse{
 				Antichains: rep.Census.Antichains,
 				Classes:    rep.Census.Classes,
 				Span:       rep.Census.Span,
 			}
 		}
 		for _, st := range rep.Stages {
-			resp.Stages = append(resp.Stages, StageTimingResponse{
+			resp.Stages = append(resp.Stages, wire.StageTimingResponse{
 				Stage: st.Stage.String(),
 				MS:    st.Elapsed.Seconds() * 1e3,
 			})
@@ -162,42 +127,21 @@ func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
 	}
 
 	if sc := r.Schedule; sc != nil {
-		sk, ok := s.resps.get(sc)
-		if !ok {
-			sk = scheduleSkeleton(r.Job.Graph, sc)
-			s.resps.put(sc, sk)
+		resp.SchedulerPatterns = compactPatterns(sc.Patterns)
+		resp.Patterns = append([]string(nil), resp.SchedulerPatterns...)
+		sort.Strings(resp.Patterns)
+		resp.Cycles = sc.Length()
+		resp.Utilization = sc.Utilization()
+		resp.CycleOf = sc.CycleOf
+		resp.PatternOf = sc.PatternOf
+		if lb, err := sched.LowerBound(r.Job.Graph, sc.Patterns); err == nil {
+			resp.LowerBound = lb
 		}
-		resp.Patterns = sk.Patterns
-		resp.SchedulerPatterns = sk.SchedulerPatterns
-		resp.Cycles = sk.Cycles
-		resp.Utilization = sk.Utilization
-		resp.CycleOf = sk.CycleOf
-		resp.PatternOf = sk.PatternOf
-		resp.LowerBound = sk.LowerBound
 	} else if r.Selection != nil {
 		resp.Patterns = compactPatterns(r.Selection.Patterns)
 		sort.Strings(resp.Patterns)
 	}
 	return resp
-}
-
-// scheduleSkeleton computes the schedule-derived response fields — the
-// expensive, request-independent slice of toResponse.
-func scheduleSkeleton(g *dfg.Graph, sc *sched.Schedule) *CompileResponse {
-	compact := compactPatterns(sc.Patterns)
-	sk := &CompileResponse{
-		SchedulerPatterns: compact,
-		Patterns:          append([]string(nil), compact...),
-		Cycles:            sc.Length(),
-		Utilization:       sc.Utilization(),
-		CycleOf:           sc.CycleOf,
-		PatternOf:         sc.PatternOf,
-	}
-	sort.Strings(sk.Patterns)
-	if lb, err := sched.LowerBound(g, sc.Patterns); err == nil {
-		sk.LowerBound = lb
-	}
-	return sk
 }
 
 func compactPatterns(ps *pattern.Set) []string {
@@ -209,38 +153,6 @@ func compactPatterns(ps *pattern.Set) []string {
 		compact = append(compact, p.Compact())
 	}
 	return compact
-}
-
-// respCache memoises schedule skeletons by shared schedule pointer (see
-// Server.resps). Bounded with arbitrary eviction, like specCache; an
-// evicted entry merely costs recomputation on the next request.
-type respCache struct {
-	mu sync.RWMutex
-	m  map[*sched.Schedule]*CompileResponse
-}
-
-const maxRespCacheEntries = 512
-
-func (c *respCache) get(k *sched.Schedule) (*CompileResponse, bool) {
-	c.mu.RLock()
-	v, ok := c.m[k]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-func (c *respCache) put(k *sched.Schedule, v *CompileResponse) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[*sched.Schedule]*CompileResponse)
-	}
-	if len(c.m) >= maxRespCacheEntries {
-		for old := range c.m {
-			delete(c.m, old)
-			break
-		}
-	}
-	c.m[k] = v
 }
 
 // errString compacts an error chain for the wire: internal package

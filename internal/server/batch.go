@@ -10,6 +10,7 @@ import (
 	"mpsched/internal/dfg"
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
+	"mpsched/internal/wire"
 )
 
 // handleBatch serves POST /v1/batch: one envelope of N compile jobs, one
@@ -36,7 +37,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.FromContext(r.Context())
 	codec := requestCodec(r)
-	var b BatchRequest
+	var b wire.BatchRequest
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	dt := tr.Begin("decode")
 	err := codec.DecodeBatch(body, &b)
@@ -87,23 +88,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		budget time.Duration
 	}
 	at := tr.Begin("admit")
-	var failed []BatchItem
+	var failed []wire.BatchItem
 	var admitted []pending
 	for i := range b.Jobs {
 		budget := minBudget(hdrBudget, b.Jobs[i].Deadline)
 		if budget < 0 {
 			s.metrics.deadlineExpired.Add(1)
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusGatewayTimeout,
+			failed = append(failed, wire.BatchItem{Index: i, Status: http.StatusGatewayTimeout,
 				Error: "deadline expired before the compile started"})
 			continue
 		}
 		job, err := s.resolveJob(b.Jobs[i])
 		if err != nil {
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
+			failed = append(failed, wire.BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
 			continue
 		}
 		if n := job.Graph.N(); n > s.opts.MaxSyncNodes {
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusRequestEntityTooLarge,
+			failed = append(failed, wire.BatchItem{Index: i, Status: http.StatusRequestEntityTooLarge,
 				Error: fmt.Sprintf("graph has %d nodes, over the synchronous limit %d; submit it to POST /v1/jobs", n, s.opts.MaxSyncNodes)})
 			continue
 		}
@@ -112,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			admitted = append(admitted, pending{idx: i, job: job, budget: budget})
 		default:
 			s.metrics.batchRejected.Add(1)
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusTooManyRequests,
+			failed = append(failed, wire.BatchItem{Index: i, Status: http.StatusTooManyRequests,
 				Error: fmt.Sprintf("batch capacity full (%d in flight); retry later", s.opts.QueueDepth)})
 		}
 	}
@@ -148,7 +149,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// duration is exact. Items without a Result (pre-compile rejections,
 	// compile errors) get no compile span; their latency still reaches
 	// the outcome-labeled metrics from the compile goroutine.
-	items := make(chan *BatchItem, len(b.Jobs))
+	items := make(chan *wire.BatchItem, len(b.Jobs))
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -159,7 +160,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		spans := make([]obs.Span, 0, 32)
 		var flushTotal, cacheTotal time.Duration
 		var cacheHits int
-		add := func(it *BatchItem) {
+		add := func(it *wire.BatchItem) {
 			if it.Result == nil {
 				return
 			}
@@ -245,7 +246,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					(errors.Is(res.Err, dfg.ErrCyclic) || errors.Is(res.Err, dfg.ErrDuplicateName) || errors.Is(res.Err, dfg.ErrIndexRange)) {
 					status = http.StatusBadRequest
 				}
-				items <- &BatchItem{Index: p.idx, Status: status, Error: errString(res.Err)}
+				items <- &wire.BatchItem{Index: p.idx, Status: status, Error: errString(res.Err)}
 				return
 			}
 			// Batch items deliberately omit the per-item trace_id: every
@@ -253,7 +254,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// already has from the X-Mpsched-Trace response header — at
 			// batch 64 the repetition is a measurable share of the
 			// response bytes.
-			items <- &BatchItem{Index: p.idx, Status: http.StatusOK, Result: s.toResponse(res)}
+			items <- &wire.BatchItem{Index: p.idx, Status: http.StatusOK, Result: toResponse(res)}
 		}
 		// Jobs run on the persistent worker pool; when it is saturated (or
 		// drained away) a fresh goroutine keeps the envelope moving rather

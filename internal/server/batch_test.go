@@ -24,18 +24,18 @@ func TestBatchMixedOutcomes(t *testing.T) {
 	for _, codec := range wire.Codecs() {
 		t.Run(codec.Name(), func(t *testing.T) {
 			_, c := newTestServer(t, server.Options{})
-			items, err := c.WithCodec(codec).CompileBatch(context.Background(), []server.CompileRequest{
+			items, err := c.WithCodec(codec).CompileBatch(context.Background(), []wire.CompileRequest{
 				{Workload: "3dft"},
 				{Workload: "no-such-workload:9"},
 				// One selected pattern over one color cannot cover 3dft's
 				// three colors: a guaranteed scheduling failure.
-				{Workload: "3dft", Name: "starved", Select: &server.SelectConfig{C: 1, Pdef: 1}},
+				{Workload: "3dft", Name: "starved", Select: &wire.SelectConfig{C: 1, Pdef: 1}},
 				{Workload: "fft:4", StopAfter: "census"},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			byIndex := map[int]server.BatchItem{}
+			byIndex := map[int]wire.BatchItem{}
 			for _, it := range items {
 				byIndex[it.Index] = it
 			}
@@ -65,7 +65,7 @@ func TestBatchMixedOutcomes(t *testing.T) {
 // schedule.
 func TestBatchPartialDoesNotPoisonCache(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
-	items, err := c.CompileBatch(context.Background(), []server.CompileRequest{
+	items, err := c.CompileBatch(context.Background(), []wire.CompileRequest{
 		{Workload: "ndft:4", StopAfter: "census"},
 		{Workload: "ndft:4", StopAfter: "select"},
 	})
@@ -77,7 +77,7 @@ func TestBatchPartialDoesNotPoisonCache(t *testing.T) {
 			t.Fatalf("partial job failed: %+v", it)
 		}
 	}
-	full, err := c.Compile(context.Background(), server.CompileRequest{Workload: "ndft:4"})
+	full, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "ndft:4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBatchPartialDoesNotPoisonCache(t *testing.T) {
 	// The select partial, re-requested, is the cached partial — under its
 	// own stop-tagged key, still without a schedule. (Census-only results
 	// are never cached; see internal/pipeline.)
-	again, err := c.CompileBatch(context.Background(), []server.CompileRequest{
+	again, err := c.CompileBatch(context.Background(), []wire.CompileRequest{
 		{Workload: "ndft:4", StopAfter: "select"},
 	})
 	if err != nil {
@@ -107,9 +107,9 @@ func TestBatchPartialDoesNotPoisonCache(t *testing.T) {
 // any compile starts.
 func TestBatchPerJobAdmission(t *testing.T) {
 	_, c := newTestServer(t, server.Options{QueueDepth: 2})
-	reqs := make([]server.CompileRequest, 5)
+	reqs := make([]wire.CompileRequest, 5)
 	for i := range reqs {
-		reqs[i] = server.CompileRequest{Workload: "3dft"}
+		reqs[i] = wire.CompileRequest{Workload: "3dft"}
 	}
 	items, err := c.CompileBatch(context.Background(), reqs)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestBatchEnvelopeLimits(t *testing.T) {
 	_, c := newTestServer(t, server.Options{MaxBatchJobs: 2})
 
 	var apiErr *client.APIError
-	_, err := c.CompileBatch(context.Background(), make([]server.CompileRequest, 3))
+	_, err := c.CompileBatch(context.Background(), make([]wire.CompileRequest, 3))
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized envelope: got %v, want a 400", err)
 	}

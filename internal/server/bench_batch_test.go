@@ -24,7 +24,7 @@ func BenchmarkBatchBinary64(b *testing.B) {
 	// member), and every job is a cache hit after the warm-up below.
 	var env wire.BatchRequest
 	for i := 0; i < 64; i++ {
-		env.Jobs = append(env.Jobs, server.CompileRequest{Workload: "fft:8"})
+		env.Jobs = append(env.Jobs, wire.CompileRequest{Workload: "fft:8"})
 	}
 	var buf bytes.Buffer
 	if err := wire.Binary.EncodeBatch(&buf, &env); err != nil {

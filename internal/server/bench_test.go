@@ -7,6 +7,7 @@ import (
 
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
+	"mpsched/internal/wire"
 )
 
 // BenchmarkServerThroughput measures end-to-end jobs/sec through the HTTP
@@ -28,7 +29,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 		// One pass outside the clock: fills the cache in warm mode and
 		// fails fast if any spec is broken.
 		for _, spec := range fleet {
-			if _, err := c.Compile(ctx, server.CompileRequest{Workload: spec}); err != nil {
+			if _, err := c.Compile(ctx, wire.CompileRequest{Workload: spec}); err != nil {
 				b.Fatalf("%s: %v", spec, err)
 			}
 		}
@@ -38,7 +39,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 			i := 0
 			for pb.Next() {
 				spec := fleet[i%len(fleet)]
-				if _, err := c.Compile(ctx, server.CompileRequest{Workload: spec}); err != nil {
+				if _, err := c.Compile(ctx, wire.CompileRequest{Workload: spec}); err != nil {
 					b.Error(err)
 					return
 				}

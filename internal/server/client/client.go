@@ -4,7 +4,7 @@
 // codec — JSON by default, or the compact binary format via WithCodec:
 //
 //	c := client.New("http://localhost:8080")
-//	resp, err := c.Compile(ctx, server.CompileRequest{Workload: "fft:8"})
+//	resp, err := c.Compile(ctx, wire.CompileRequest{Workload: "fft:8"})
 //	fmt.Println(resp.Cycles, "cycles, cache hit:", resp.CacheHit)
 //
 //	fast := c.WithCodec(wire.Binary)
@@ -27,7 +27,6 @@ import (
 	"mpsched/internal/cliutil"
 	"mpsched/internal/obs"
 	"mpsched/internal/resilience"
-	"mpsched/internal/server"
 	"mpsched/internal/wire"
 )
 
@@ -128,8 +127,8 @@ func (e *APIError) Error() string {
 
 // Compile runs one synchronous compile (POST /v1/compile) in the
 // client's codec.
-func (c *Client) Compile(ctx context.Context, req server.CompileRequest) (*server.CompileResponse, error) {
-	var resp server.CompileResponse
+func (c *Client) Compile(ctx context.Context, req wire.CompileRequest) (*wire.CompileResponse, error) {
+	var resp wire.CompileResponse
 	ct := c.codec.ContentType()
 	err := c.call(ctx, http.MethodPost, "/v1/compile", ct, ct, req.TraceID,
 		func(w io.Writer) error { return c.codec.EncodeRequest(w, &req) },
@@ -145,8 +144,8 @@ func (c *Client) Compile(ctx context.Context, req server.CompileRequest) (*serve
 // by Index. Per-job failures are items with a non-200 Status, not an
 // error; the returned error covers transport and envelope faults only,
 // including a short stream (server died mid-batch).
-func (c *Client) CompileBatch(ctx context.Context, reqs []server.CompileRequest) ([]server.BatchItem, error) {
-	var items []server.BatchItem
+func (c *Client) CompileBatch(ctx context.Context, reqs []wire.CompileRequest) ([]wire.BatchItem, error) {
+	var items []wire.BatchItem
 	ct := c.codec.ContentType()
 	// The envelope trace ID rides the header; per-job TraceIDs inside reqs
 	// additionally survive the binary codec's framing.
@@ -162,10 +161,10 @@ func (c *Client) CompileBatch(ctx context.Context, reqs []server.CompileRequest)
 	err := c.call(ctx, http.MethodPost, "/v1/batch", ct, ct, trace,
 		func(w io.Writer) error { return c.codec.EncodeBatch(w, &wire.BatchRequest{Jobs: reqs}) },
 		func(r io.Reader) error {
-			items = make([]server.BatchItem, 0, len(reqs))
+			items = make([]wire.BatchItem, 0, len(reqs))
 			ir := c.codec.NewItemReader(r)
 			for {
-				var it server.BatchItem
+				var it wire.BatchItem
 				switch err := ir.ReadItem(&it); err {
 				case nil:
 					items = append(items, it)
@@ -185,7 +184,7 @@ func (c *Client) CompileBatch(ctx context.Context, reqs []server.CompileRequest)
 // validateBatch checks a batch stream delivered exactly one item per
 // requested job. Violations are wire-format faults (a truncated or
 // corrupt stream), reported as such so the resilience layer retries.
-func validateBatch(items []server.BatchItem, want int) error {
+func validateBatch(items []wire.BatchItem, want int) error {
 	seen := make([]bool, want)
 	for i := range items {
 		idx := items[i].Index
@@ -202,8 +201,8 @@ func validateBatch(items []server.BatchItem, want int) error {
 
 // SubmitJob enqueues an async compile (POST /v1/jobs) and returns the
 // accepted job (status "queued").
-func (c *Client) SubmitJob(ctx context.Context, req server.CompileRequest) (*server.JobResponse, error) {
-	var resp server.JobResponse
+func (c *Client) SubmitJob(ctx context.Context, req wire.CompileRequest) (*wire.JobResponse, error) {
+	var resp wire.JobResponse
 	ct := c.codec.ContentType()
 	err := c.call(ctx, http.MethodPost, "/v1/jobs", ct, wire.ContentTypeJSON, req.TraceID,
 		func(w io.Writer) error { return c.codec.EncodeRequest(w, &req) },
@@ -215,8 +214,8 @@ func (c *Client) SubmitJob(ctx context.Context, req server.CompileRequest) (*ser
 }
 
 // Job fetches a job's current state (GET /v1/jobs/{id}).
-func (c *Client) Job(ctx context.Context, id string) (*server.JobResponse, error) {
-	var resp server.JobResponse
+func (c *Client) Job(ctx context.Context, id string) (*wire.JobResponse, error) {
+	var resp wire.JobResponse
 	if err := c.get(ctx, "/v1/jobs/"+id, &resp); err != nil {
 		return nil, err
 	}
@@ -242,18 +241,18 @@ const maxTransientPolls = 16
 // honour the server's Retry-After hint instead of failing the wait, but
 // only maxTransientPolls in a row — then the wait fails rather than
 // polling a shedding server forever.
-func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*server.JobResponse, error) {
+func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*wire.JobResponse, error) {
 	if poll <= 0 {
 		poll = 25 * time.Millisecond
 	}
 	delay := time.Millisecond
 	transient := 0
-	var last *server.JobResponse // most recent successful snapshot
+	var last *wire.JobResponse // most recent successful snapshot
 	for {
 		resp, err := c.Job(ctx, id)
 		if err == nil {
 			last, transient = resp, 0
-			if resp.Status == server.JobDone || resp.Status == server.JobFailed {
+			if resp.Status == wire.JobDone || resp.Status == wire.JobFailed {
 				return resp, nil
 			}
 		} else {
@@ -288,7 +287,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*s
 
 // Workloads fetches the generator catalog (GET /v1/workloads).
 func (c *Client) Workloads(ctx context.Context) ([]cliutil.Workload, error) {
-	var resp server.WorkloadsResponse
+	var resp wire.WorkloadsResponse
 	if err := c.get(ctx, "/v1/workloads", &resp); err != nil {
 		return nil, err
 	}
@@ -296,8 +295,8 @@ func (c *Client) Workloads(ctx context.Context) ([]cliutil.Workload, error) {
 }
 
 // Healthz checks liveness (GET /healthz).
-func (c *Client) Healthz(ctx context.Context) (*server.HealthResponse, error) {
-	var resp server.HealthResponse
+func (c *Client) Healthz(ctx context.Context) (*wire.HealthResponse, error) {
+	var resp wire.HealthResponse
 	if err := c.get(ctx, "/healthz", &resp); err != nil {
 		return nil, err
 	}
@@ -407,7 +406,7 @@ func (c *Client) do1(ctx context.Context, method, url, contentType, accept, trac
 		resp.Body.Close()
 	}()
 	if resp.StatusCode/100 != 2 {
-		var e server.ErrorResponse
+		var e wire.ErrorResponse
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 		if json.Unmarshal(data, &e) != nil || e.Error == "" {
 			e.Error = strings.TrimSpace(string(data))

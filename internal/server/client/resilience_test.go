@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mpsched/internal/resilience"
-	"mpsched/internal/server"
 	"mpsched/internal/wire"
 )
 
@@ -24,13 +23,13 @@ func fastRetry() *resilience.RetryPolicy {
 
 func compileOK(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", wire.ContentTypeJSON)
-	json.NewEncoder(w).Encode(&server.CompileResponse{Name: "3dft", Cycles: 42})
+	json.NewEncoder(w).Encode(&wire.CompileResponse{Name: "3dft", Cycles: 42})
 }
 
 func compileErr(w http.ResponseWriter, status int) {
 	w.Header().Set("Content-Type", wire.ContentTypeJSON)
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(&server.ErrorResponse{Error: fmt.Sprintf("injected %d", status)})
+	json.NewEncoder(w).Encode(&wire.ErrorResponse{Error: fmt.Sprintf("injected %d", status)})
 }
 
 // TestRetryRecoversFrom500: a server that fails twice then succeeds is
@@ -47,7 +46,7 @@ func TestRetryRecoversFrom500(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL).WithResilience(ResilienceOptions{Retry: fastRetry()})
-	resp, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	resp, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatalf("resilient compile: %v", err)
 	}
@@ -59,7 +58,7 @@ func TestRetryRecoversFrom500(t *testing.T) {
 	}
 	// A bare client sees the failure it was dealt.
 	calls.Store(0)
-	if _, err := New(ts.URL).Compile(context.Background(), server.CompileRequest{Workload: "3dft"}); err == nil {
+	if _, err := New(ts.URL).Compile(context.Background(), wire.CompileRequest{Workload: "3dft"}); err == nil {
 		t.Error("bare client should surface the 500")
 	}
 }
@@ -75,7 +74,7 @@ func TestRetryStopsOnTerminalError(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL).WithResilience(ResilienceOptions{Retry: fastRetry()})
-	_, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	_, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	var api *APIError
 	if !errors.As(err, &api) || api.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("err = %v, want APIError 422", err)
@@ -92,15 +91,15 @@ func TestRetryTruncatedBatchStream(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", wire.ContentTypeJSON)
 		enc := json.NewEncoder(w)
-		enc.Encode(&server.BatchItem{Index: 0, Status: 200, Result: &server.CompileResponse{}})
+		enc.Encode(&wire.BatchItem{Index: 0, Status: 200, Result: &wire.CompileResponse{}})
 		if calls.Add(1) > 1 {
-			enc.Encode(&server.BatchItem{Index: 1, Status: 200, Result: &server.CompileResponse{}})
+			enc.Encode(&wire.BatchItem{Index: 1, Status: 200, Result: &wire.CompileResponse{}})
 		}
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL).WithResilience(ResilienceOptions{Retry: fastRetry()})
-	items, err := c.CompileBatch(context.Background(), make([]server.CompileRequest, 2))
+	items, err := c.CompileBatch(context.Background(), make([]wire.CompileRequest, 2))
 	if err != nil {
 		t.Fatalf("batch after truncated first stream: %v", err)
 	}
@@ -127,12 +126,12 @@ func TestBreakerFailsFast(t *testing.T) {
 		Breaker: &resilience.BreakerOptions{ConsecutiveFailures: 3, Cooldown: time.Hour},
 	})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"}); err == nil {
+		if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"}); err == nil {
 			t.Fatal("compile against a dead server should fail")
 		}
 	}
 	before := calls.Load()
-	_, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	_, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
@@ -159,7 +158,7 @@ func TestBreakerIgnoresBackpressure(t *testing.T) {
 		Breaker: &resilience.BreakerOptions{ConsecutiveFailures: 3},
 	})
 	for i := 0; i < 10; i++ {
-		_, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+		_, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 		var api *APIError
 		if !errors.As(err, &api) || api.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("attempt %d: err = %v, want APIError 429 (breaker must not trip)", i, err)
@@ -182,7 +181,7 @@ func TestSubmitJobNotRetried(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL).WithResilience(ResilienceOptions{Retry: fastRetry()})
-	if _, err := c.SubmitJob(context.Background(), server.CompileRequest{Workload: "3dft"}); err == nil {
+	if _, err := c.SubmitJob(context.Background(), wire.CompileRequest{Workload: "3dft"}); err == nil {
 		t.Fatal("submit against a failing server should error")
 	}
 	if n := calls.Load(); n != 1 {
@@ -210,13 +209,13 @@ func TestHedgeRescuesTail(t *testing.T) {
 		Hedge: &resilience.HedgerOptions{MinSamples: 8},
 	})
 	for i := 0; i < 64; i++ {
-		if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"}); err != nil {
+		if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"}); err != nil {
 			t.Fatalf("warmup %d: %v", i, err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatalf("hedged compile: %v", err)
 	}
 	stats := c.ResilienceStats()
@@ -237,7 +236,7 @@ func TestDeadlineHeaderFromContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := New(ts.URL).Compile(ctx, server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := New(ts.URL).Compile(ctx, wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatal(err)
 	}
 	hdr := <-got
@@ -247,7 +246,7 @@ func TestDeadlineHeaderFromContext(t *testing.T) {
 	}
 
 	// No deadline on the context → no header.
-	if _, err := New(ts.URL).Compile(context.Background(), server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := New(ts.URL).Compile(context.Background(), wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatal(err)
 	}
 	if hdr := <-got; hdr != "" {
@@ -260,7 +259,7 @@ func TestDeadlineHeaderFromContext(t *testing.T) {
 // to poll forever with nothing to tell callers why it stopped).
 func TestWaitJobTimeout(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(&server.JobResponse{ID: "j1", Status: server.JobQueued})
+		json.NewEncoder(w).Encode(&wire.JobResponse{ID: "j1", Status: wire.JobQueued})
 	}))
 	defer ts.Close()
 
@@ -270,7 +269,7 @@ func TestWaitJobTimeout(t *testing.T) {
 	if !errors.Is(err, ErrWaitTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrWaitTimeout wrapping DeadlineExceeded", err)
 	}
-	if resp == nil || resp.Status != server.JobQueued {
+	if resp == nil || resp.Status != wire.JobQueued {
 		t.Errorf("last observed state = %+v, want the queued snapshot", resp)
 	}
 }
@@ -334,7 +333,7 @@ func TestBreakerPerBackend(t *testing.T) {
 	dead := live.WithBaseURL("http://127.0.0.1:1")
 
 	for i := 0; i < 3; i++ {
-		if _, err := dead.Compile(context.Background(), server.CompileRequest{Workload: "fft:8"}); err == nil {
+		if _, err := dead.Compile(context.Background(), wire.CompileRequest{Workload: "fft:8"}); err == nil {
 			t.Fatal("compile against a dead address succeeded")
 		}
 	}
@@ -344,7 +343,7 @@ func TestBreakerPerBackend(t *testing.T) {
 	}
 	// The shared state's open circuit is keyed to the dead base only: the
 	// live base must still be admitted and succeed.
-	if _, err := live.Compile(context.Background(), server.CompileRequest{Workload: "fft:8"}); err != nil {
+	if _, err := live.Compile(context.Background(), wire.CompileRequest{Workload: "fft:8"}); err != nil {
 		t.Fatalf("live base failed after dead twin tripped its breaker: %v", err)
 	}
 	if ff := live.ResilienceStats().BreakerFastFails; ff < 1 {

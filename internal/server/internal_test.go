@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mpsched/internal/wire"
 )
 
 // TestAdmissionControl fills a queue nothing drains (no workers) and
@@ -48,9 +50,9 @@ func TestJobStoreEviction(t *testing.T) {
 	mk := func(id, status string) *asyncJob {
 		return &asyncJob{id: id, status: status}
 	}
-	st.add(mk("a", JobDone))
-	st.add(mk("b", JobQueued))
-	st.add(mk("c", JobDone))
+	st.add(mk("a", wire.JobDone))
+	st.add(mk("b", wire.JobQueued))
+	st.add(mk("c", wire.JobDone))
 	if _, ok := st.get("a"); ok {
 		t.Error("oldest terminal job not evicted")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
+	"mpsched/internal/wire"
 )
 
 // asyncJob is one queued compilation. Status transitions are
@@ -18,7 +19,7 @@ type asyncJob struct {
 	job pipeline.Job
 	// trace is the submit request's trace; the job appends its queue-wait
 	// and compile spans to it as it runs (nil-safe). traceID is the
-	// effective ID, echoed in every JobResponse for the job.
+	// effective ID, echoed in every wire.JobResponse for the job.
 	trace   *obs.Trace
 	traceID string
 	// submitted is when the job entered the queue; zero for jobs that
@@ -33,32 +34,32 @@ type asyncJob struct {
 	mu     sync.Mutex
 	status string
 	err    error
-	result *CompileResponse
+	result *wire.CompileResponse
 }
 
 func (j *asyncJob) setRunning() {
 	j.mu.Lock()
-	j.status = JobRunning
+	j.status = wire.JobRunning
 	j.mu.Unlock()
 }
 
-func (j *asyncJob) finish(result *CompileResponse, err error) {
+func (j *asyncJob) finish(result *wire.CompileResponse, err error) {
 	j.mu.Lock()
 	if err != nil {
-		j.status = JobFailed
+		j.status = wire.JobFailed
 		j.err = err
 	} else {
-		j.status = JobDone
+		j.status = wire.JobDone
 		j.result = result
 	}
 	j.mu.Unlock()
 }
 
 // snapshot renders the job's current state as a response body.
-func (j *asyncJob) snapshot() JobResponse {
+func (j *asyncJob) snapshot() wire.JobResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	resp := JobResponse{ID: j.id, Status: j.status, Result: j.result, TraceID: j.traceID}
+	resp := wire.JobResponse{ID: j.id, Status: j.status, Result: j.result, TraceID: j.traceID}
 	if j.err != nil {
 		resp.Error = errString(j.err)
 	}
@@ -114,7 +115,7 @@ func (s *jobStore) add(j *asyncJob) {
 func isTerminal(j *asyncJob) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status == JobDone || j.status == JobFailed
+	return j.status == wire.JobDone || j.status == wire.JobFailed
 }
 
 func (s *jobStore) get(id string) (*asyncJob, bool) {

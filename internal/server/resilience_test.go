@@ -78,7 +78,7 @@ func TestDeadlineHeaderExpired(t *testing.T) {
 func TestDeadlineBinaryFrame(t *testing.T) {
 	_, c := newTestServer(t, server.Options{CacheEntries: -1})
 	var body bytes.Buffer
-	req := server.CompileRequest{Workload: "3dft", Deadline: time.Nanosecond}
+	req := wire.CompileRequest{Workload: "3dft", Deadline: time.Nanosecond}
 	if err := wire.Binary.EncodeRequest(&body, &req); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPanicIsolation(t *testing.T) {
 	inj := faults.New(faults.Config{CompilePanic: "boom"})
 	_, c := newTestServer(t, server.Options{Faults: inj})
 
-	reqs := []server.CompileRequest{
+	reqs := []wire.CompileRequest{
 		{Workload: "3dft", Name: "calm-0"},
 		{Workload: "3dft", Name: "boom-1"},
 		{Workload: "3dft", Name: "calm-2"},
@@ -108,7 +108,7 @@ func TestPanicIsolation(t *testing.T) {
 	if len(items) != len(reqs) {
 		t.Fatalf("got %d items, want %d", len(items), len(reqs))
 	}
-	byIdx := map[int]server.BatchItem{}
+	byIdx := map[int]wire.BatchItem{}
 	for _, it := range items {
 		byIdx[it.Index] = it
 	}
@@ -122,7 +122,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 
 	// The sync path isolates the same way: one 500, not a dead daemon.
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft", Name: "boom-sync"}); err == nil {
+	if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft", Name: "boom-sync"}); err == nil {
 		t.Error("sync compile of a panicking job should fail")
 	} else {
 		var api *client.APIError
@@ -132,7 +132,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 
 	// Daemon survived all of it.
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft", Name: "calm-after"}); err != nil {
+	if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft", Name: "calm-after"}); err != nil {
 		t.Fatalf("daemon did not survive the panics: %v", err)
 	}
 	if inj.Stats().Panic < 2 {
@@ -167,10 +167,10 @@ func TestTruncatedFrameAtConnection(t *testing.T) {
 	addr := strings.TrimPrefix(c.BaseURL(), "http://")
 
 	var compileBody, batchBody bytes.Buffer
-	if err := wire.Binary.EncodeRequest(&compileBody, &server.CompileRequest{Workload: "3dft"}); err != nil {
+	if err := wire.Binary.EncodeRequest(&compileBody, &wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Binary.EncodeBatch(&batchBody, &server.BatchRequest{Jobs: []server.CompileRequest{
+	if err := wire.Binary.EncodeBatch(&batchBody, &wire.BatchRequest{Jobs: []wire.CompileRequest{
 		{Workload: "3dft"}, {Workload: "fft:4"},
 	}}); err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestTruncatedFrameAtConnection(t *testing.T) {
 	}
 
 	// The server shrugged it all off.
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatalf("server unhealthy after truncated frames: %v", err)
 	}
 }

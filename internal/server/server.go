@@ -52,9 +52,6 @@ import (
 // Options configures a Server. The zero value serves with sensible
 // defaults for every field.
 type Options struct {
-	// PipelineWorkers bounds the pipeline's internal pool (used by batch
-	// compiles); ≤ 0 means GOMAXPROCS.
-	PipelineWorkers int
 	// QueueWorkers is how many async jobs compile concurrently; ≤ 0 means
 	// GOMAXPROCS.
 	QueueWorkers int
@@ -199,11 +196,6 @@ type Server struct {
 	// concurrent compiles is sound — and makes the pipeline's result
 	// cache hit without re-hashing.
 	specs specCache
-	// resps memoises the schedule-derived slice of CompileResponse per
-	// shared *sched.Schedule (see toResponse): result-cache hits reuse the
-	// same schedule pointer, so pattern formatting, the lower bound and
-	// utilization are computed once per distinct result, not per request.
-	resps respCache
 	// batchWork feeds the persistent batch compile workers. A fixed pool
 	// instead of a goroutine per job: batch jobs are often sub-millisecond
 	// cache hits, and spawning a fresh goroutine each time pays stack
@@ -253,7 +245,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 	case opts.CacheEntries >= 0:
 		s.cache = pipeline.NewShardedCache(opts.CacheEntries, opts.CacheShards)
 	}
-	s.pipe = pipeline.New(pipeline.Options{Workers: opts.PipelineWorkers, Cache: s.cache})
+	s.pipe = pipeline.New(pipeline.Options{Cache: s.cache})
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.shed = resilience.NewShedder(opts.ShedThreshold, opts.ShedWindow)
 
@@ -421,7 +413,7 @@ func (s *Server) process(j *asyncJob) {
 		return
 	}
 	s.metrics.jobsCompleted.Add(1)
-	resp := s.toResponse(res)
+	resp := toResponse(res)
 	resp.TraceID = j.traceID
 	j.finish(resp, nil)
 }
@@ -526,7 +518,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, s.compileFailureStatus(r.Context(), cctx, res.Err), res.Err)
 		return
 	}
-	resp := s.toResponse(res)
+	resp := toResponse(res)
 	resp.TraceID = tr.ID()
 	s.writeResult(w, r, resp)
 }
@@ -560,7 +552,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// The job keeps the submit request's trace: its queue-wait and
 	// compile spans append to it as the job executes, long after this
 	// response went out — /debug/traces/{id} shows them as they land.
-	j := &asyncJob{id: newJobID(), job: job, status: JobQueued, trace: tr, traceID: tr.ID()}
+	j := &asyncJob{id: newJobID(), job: job, status: wire.JobQueued, trace: tr, traceID: tr.ID()}
 	if budget > 0 {
 		// The budget freezes into an absolute deadline at admission; it
 		// keeps counting down while the job queues, which is the point —
@@ -609,11 +601,11 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, WorkloadsResponse{Workloads: cliutil.Catalog()})
+	s.writeJSON(w, http.StatusOK, wire.WorkloadsResponse{Workloads: cliutil.Catalog()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	s.writeJSON(w, http.StatusOK, wire.HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		QueueDepth:    len(s.queue),
@@ -642,7 +634,7 @@ func responseCodec(r *http.Request) wire.Codec {
 // resolveJob is toJob with the workload-spec cache in front: a storm of
 // identical specs generates the graph once and shares it, which also
 // keys the pipeline's result cache to one fingerprint computation.
-func (s *Server) resolveJob(req CompileRequest) (pipeline.Job, error) {
+func (s *Server) resolveJob(req wire.CompileRequest) (pipeline.Job, error) {
 	if req.Workload == "" {
 		return toJob(req)
 	}
@@ -658,8 +650,8 @@ func (s *Server) resolveJob(req CompileRequest) (pipeline.Job, error) {
 
 // decodeRequest reads a size-limited body in the request's codec. On
 // failure it has already written the (always-JSON) error response.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (CompileRequest, bool) {
-	var req CompileRequest
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (wire.CompileRequest, bool) {
+	var req wire.CompileRequest
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	if err := requestCodec(r).DecodeRequest(body, &req); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -675,7 +667,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (CompileR
 }
 
 // writeResult writes a compile result in the negotiated response codec.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, resp *CompileResponse) {
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, resp *wire.CompileResponse) {
 	et := obs.FromContext(r.Context()).Begin("encode")
 	codec := responseCodec(r)
 	w.Header().Set("Content-Type", codec.ContentType())
@@ -700,5 +692,5 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 			status = http.StatusBadRequest
 		}
 	}
-	s.writeJSON(w, status, ErrorResponse{Error: errString(err)})
+	s.writeJSON(w, status, wire.ErrorResponse{Error: errString(err)})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"mpsched/internal/pipeline"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
+	"mpsched/internal/wire"
 )
 
 func newTestServer(t *testing.T, opts server.Options) (*server.Server, *client.Client) {
@@ -34,13 +36,13 @@ func newTestServer(t *testing.T, opts server.Options) (*server.Server, *client.C
 
 // fig4Select is the config under which the 5-node Fig. 4 graph compiles
 // (its color set needs C=2, span unlimited — see the pipeline tests).
-func fig4Select() *server.SelectConfig {
-	return &server.SelectConfig{C: 2, Pdef: 2, Span: -1}
+func fig4Select() *wire.SelectConfig {
+	return &wire.SelectConfig{C: 2, Pdef: 2, Span: -1}
 }
 
 func TestCompileWorkload(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
-	resp, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	resp, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestCompileWorkload(t *testing.T) {
 	}
 
 	// Same workload again: served from the sharded cache.
-	resp2, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	resp2, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +66,23 @@ func TestCompileWorkload(t *testing.T) {
 	}
 	if resp2.Cycles != resp.Cycles {
 		t.Errorf("cached cycles %d != cold cycles %d", resp2.Cycles, resp.Cycles)
+	}
+	if resp2.LowerBound != resp.LowerBound || resp2.Utilization != resp.Utilization {
+		t.Errorf("cached lower bound %d, utilization %g != cold %d, %g",
+			resp2.LowerBound, resp2.Utilization, resp.LowerBound, resp.Utilization)
+	}
+	for _, f := range []struct {
+		name       string
+		cold, warm any
+	}{
+		{"patterns", resp.Patterns, resp2.Patterns},
+		{"scheduler_patterns", resp.SchedulerPatterns, resp2.SchedulerPatterns},
+		{"cycle_of", resp.CycleOf, resp2.CycleOf},
+		{"pattern_of", resp.PatternOf, resp2.PatternOf},
+	} {
+		if !reflect.DeepEqual(f.cold, f.warm) {
+			t.Errorf("cached %s %v != cold %v", f.name, f.warm, f.cold)
+		}
 	}
 }
 
@@ -77,7 +96,7 @@ func TestCompileInlineDFG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Compile(context.Background(), server.CompileRequest{
+	resp, err := c.Compile(context.Background(), wire.CompileRequest{
 		Name:   "inline-fig4",
 		DFG:    raw,
 		Select: fig4Select(),
@@ -118,7 +137,7 @@ func TestCompileMatchesPipeline(t *testing.T) {
 
 	_, c := newTestServer(t, server.Options{})
 	const clients = 64
-	got := make([]*server.CompileResponse, clients)
+	got := make([]*wire.CompileResponse, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -126,7 +145,7 @@ func TestCompileMatchesPipeline(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			spec := specs[i%len(specs)]
-			req := server.CompileRequest{Workload: spec}
+			req := wire.CompileRequest{Workload: spec}
 			if spec == "fig4" {
 				req.Select = fig4Select()
 			}
@@ -200,13 +219,13 @@ func TestRequestBodyLimit(t *testing.T) {
 
 func TestSyncNodeLimit(t *testing.T) {
 	_, c := newTestServer(t, server.Options{MaxSyncNodes: 10})
-	_, err := c.Compile(context.Background(), server.CompileRequest{Workload: "3dft"}) // 24 nodes
+	_, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"}) // 24 nodes
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("err = %v, want 413 APIError", err)
 	}
 	// The same graph is accepted on the async path.
-	job, err := c.SubmitJob(context.Background(), server.CompileRequest{Workload: "3dft"})
+	job, err := c.SubmitJob(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +233,7 @@ func TestSyncNodeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != server.JobDone || final.Result == nil {
+	if final.Status != wire.JobDone || final.Result == nil {
 		t.Fatalf("job finished %q (%s), want done", final.Status, final.Error)
 	}
 }
@@ -223,18 +242,18 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	ctx := context.Background()
 
-	job, err := c.SubmitJob(ctx, server.CompileRequest{Workload: "ndft:4"})
+	job, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: "ndft:4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.ID == "" || (job.Status != server.JobQueued && job.Status != server.JobRunning) {
+	if job.ID == "" || (job.Status != wire.JobQueued && job.Status != wire.JobRunning) {
 		t.Fatalf("submit returned %+v", job)
 	}
 	final, err := c.WaitJob(ctx, job.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != server.JobDone || final.Result == nil {
+	if final.Status != wire.JobDone || final.Result == nil {
 		t.Fatalf("job ended %q (%s)", final.Status, final.Error)
 	}
 	if final.Result.Cycles <= 0 {
@@ -254,7 +273,7 @@ func TestJobErrorIsolation(t *testing.T) {
 	// An empty graph decodes but cannot be compiled: the job fails, the
 	// server keeps serving.
 	raw := []byte(`{"name":"empty","nodes":[],"edges":[]}`)
-	job, err := c.SubmitJob(ctx, server.CompileRequest{DFG: raw})
+	job, err := c.SubmitJob(ctx, wire.CompileRequest{DFG: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +281,10 @@ func TestJobErrorIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != server.JobFailed || final.Error == "" {
+	if final.Status != wire.JobFailed || final.Error == "" {
 		t.Fatalf("empty graph job ended %q, want failed with an error", final.Status)
 	}
-	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatalf("server unhealthy after failed job: %v", err)
 	}
 }
@@ -276,7 +295,7 @@ func TestDrain(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 8; i++ {
-		job, err := c.SubmitJob(ctx, server.CompileRequest{Workload: fmt.Sprintf("ndft:%d", 3+i%3)})
+		job, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: fmt.Sprintf("ndft:%d", 3+i%3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +319,12 @@ func TestDrain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %s after drain: %v", id, err)
 		}
-		if j.Status != server.JobDone {
+		if j.Status != wire.JobDone {
 			t.Errorf("job %s ended %q (%s), want done", id, j.Status, j.Error)
 		}
 	}
 	// New submissions are refused while draining.
-	_, err := c.SubmitJob(ctx, server.CompileRequest{Workload: "3dft"})
+	_, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: "3dft"})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit after drain: %v, want 503", err)
@@ -345,7 +364,7 @@ func TestHealthzAndWorkloads(t *testing.T) {
 			t.Errorf("corpus family %q missing from /v1/workloads", corpus)
 			continue
 		}
-		resp, err := c.Compile(ctx, server.CompileRequest{Workload: example})
+		resp, err := c.Compile(ctx, wire.CompileRequest{Workload: example})
 		if err != nil {
 			t.Errorf("corpus example %q does not compile remotely: %v", example, err)
 			continue
@@ -359,13 +378,13 @@ func TestHealthzAndWorkloads(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	ctx := context.Background()
-	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitJob(ctx, server.CompileRequest{Workload: "3dft"})
+	job, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +436,7 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		resp, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"})
+		resp, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"})
 		if err != nil {
 			t.Fatal(err)
 		}

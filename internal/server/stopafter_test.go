@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mpsched/internal/server"
+	"mpsched/internal/wire"
 )
 
 // postJSON drives the server the way curl does — raw HTTP, no typed
@@ -143,7 +144,7 @@ func TestJobsStopAfterWire(t *testing.T) {
 		if st != http.StatusOK {
 			t.Fatalf("poll status %d: %v", st, job)
 		}
-		if s := job["status"]; s == server.JobDone || s == server.JobFailed {
+		if s := job["status"]; s == wire.JobDone || s == wire.JobFailed {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -151,7 +152,7 @@ func TestJobsStopAfterWire(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if job["status"] != server.JobDone {
+	if job["status"] != wire.JobDone {
 		t.Fatalf("job failed: %v", job)
 	}
 	result, ok := job["result"].(map[string]any)

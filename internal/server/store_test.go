@@ -14,6 +14,7 @@ import (
 	"mpsched/internal/pipeline"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
+	"mpsched/internal/wire"
 )
 
 // TestWarmRestartServesFromDisk is the serving-layer warm-restart story:
@@ -42,7 +43,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 
 	cache1, s1, ts1 := open()
 	c1 := client.New(ts1.URL)
-	cold, err := c1.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	cold, err := c1.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	cache2, s2, ts2 := open()
 	defer shutdown(cache2, s2, ts2)
 	c2 := client.New(ts2.URL)
-	warm, err := c2.Compile(context.Background(), server.CompileRequest{Workload: "3dft"})
+	warm, err := c2.Compile(context.Background(), wire.CompileRequest{Workload: "3dft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +122,12 @@ func TestDeltaCompileOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Graph: base}); err != nil {
+	if _, err := c.Compile(context.Background(), wire.CompileRequest{Graph: base}); err != nil {
 		t.Fatal(err)
 	}
 
 	mut := recolored(t, base, 3)
-	resp, err := c.Compile(context.Background(), server.CompileRequest{
+	resp, err := c.Compile(context.Background(), wire.CompileRequest{
 		Graph:           mut,
 		BaseFingerprint: base.Fingerprint(),
 	})
@@ -144,7 +145,7 @@ func TestDeltaCompileOverWire(t *testing.T) {
 	}
 
 	// An unknown base silently compiles cold — the field is always safe.
-	resp2, err := c.Compile(context.Background(), server.CompileRequest{
+	resp2, err := c.Compile(context.Background(), wire.CompileRequest{
 		Graph:           recolored(t, base, 5),
 		BaseFingerprint: "no-such-base",
 	})

@@ -60,11 +60,11 @@ func TestTraceHeaderEcho(t *testing.T) {
 			var body bytes.Buffer
 			var err error
 			if route == "/v1/batch" {
-				err = codec.EncodeBatch(&body, &wire.BatchRequest{Jobs: []server.CompileRequest{
+				err = codec.EncodeBatch(&body, &wire.BatchRequest{Jobs: []wire.CompileRequest{
 					{Workload: "3dft"}, {Workload: "fft:8"},
 				}})
 			} else {
-				err = codec.EncodeRequest(&body, &server.CompileRequest{Workload: "3dft"})
+				err = codec.EncodeRequest(&body, &wire.CompileRequest{Workload: "3dft"})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 			}
 			switch route {
 			case "/v1/compile":
-				var cr server.CompileResponse
+				var cr wire.CompileResponse
 				if err := codec.DecodeResponse(bytes.NewReader(data), &cr); err != nil {
 					t.Fatalf("%s compile response: %v", codec.Name(), err)
 				}
@@ -86,7 +86,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 					t.Errorf("%s compile body trace_id = %q, want %q", codec.Name(), cr.TraceID, id)
 				}
 			case "/v1/jobs":
-				var jr server.JobResponse
+				var jr wire.JobResponse
 				if err := json.Unmarshal(data, &jr); err != nil {
 					t.Fatalf("%s jobs response: %v", codec.Name(), err)
 				}
@@ -104,7 +104,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 func TestBinaryInFrameTraceAdopted(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	var body bytes.Buffer
-	req := server.CompileRequest{Workload: "3dft", TraceID: "framed-trace-01"}
+	req := wire.CompileRequest{Workload: "3dft", TraceID: "framed-trace-01"}
 	if err := wire.Binary.EncodeRequest(&body, &req); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBinaryInFrameTraceAdopted(t *testing.T) {
 	if got := resp.Header.Get(obs.TraceHeader); got != "framed-trace-01" {
 		t.Errorf("echoed trace %q, want the in-frame id framed-trace-01", got)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := wire.Binary.DecodeResponse(bytes.NewReader(data), &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestBinaryInFrameTraceAdopted(t *testing.T) {
 func TestClientTracePropagation(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	ctx := context.Background()
-	resp, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft", TraceID: "client-trace-1"})
+	resp, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft", TraceID: "client-trace-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.TraceID != "client-trace-1" {
 		t.Errorf("Compile trace = %q, want client-trace-1", resp.TraceID)
 	}
-	job, err := c.SubmitJob(ctx, server.CompileRequest{Workload: "3dft", TraceID: "client-trace-2"})
+	job, err := c.SubmitJob(ctx, wire.CompileRequest{Workload: "3dft", TraceID: "client-trace-2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSlowTraceLogMatchesDebugEndpoint(t *testing.T) {
 		Logger:    slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
 	const id = "slowtrace0001"
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "fft:8", TraceID: id}); err != nil {
+	if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "fft:8", TraceID: id}); err != nil {
 		t.Fatal(err)
 	}
 	td := fetchTrace(t, c, id)
@@ -244,7 +244,7 @@ func TestSlowTraceLogMatchesDebugEndpoint(t *testing.T) {
 func TestTraceSpanSumApproxWallClock(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	const id = "spansum000001"
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Workload: "fft:8", TraceID: id}); err != nil {
+	if _, err := c.Compile(context.Background(), wire.CompileRequest{Workload: "fft:8", TraceID: id}); err != nil {
 		t.Fatal(err)
 	}
 	td := fetchTrace(t, c, id)
@@ -286,12 +286,12 @@ func TestCompileErrorLatencyRecorded(t *testing.T) {
 	ctx := context.Background()
 	// An empty graph decodes but cannot be compiled: a pipeline-level
 	// failure, which is exactly what must be measured.
-	_, err := c.Compile(ctx, server.CompileRequest{DFG: []byte(`{"name":"empty","nodes":[],"edges":[]}`)})
+	_, err := c.Compile(ctx, wire.CompileRequest{DFG: []byte(`{"name":"empty","nodes":[],"edges":[]}`)})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("empty graph: err = %v, want a 422", err)
 	}
-	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft"}); err != nil {
+	if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -327,7 +327,7 @@ func TestDebugTracesRecent(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Compile(ctx, server.CompileRequest{Workload: "3dft", TraceID: fmt.Sprintf("recent-%d", i)}); err != nil {
+		if _, err := c.Compile(ctx, wire.CompileRequest{Workload: "3dft", TraceID: fmt.Sprintf("recent-%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

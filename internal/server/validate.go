@@ -5,10 +5,11 @@ import (
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/pipeline"
+	"mpsched/internal/wire"
 )
 
 // FieldError is a request-validation failure naming the offending wire
-// field (JSON path, e.g. "select.pdef"). Every invalid CompileRequest is
+// field (JSON path, e.g. "select.pdef"). Every invalid wire.CompileRequest is
 // rejected with one, so clients can map errors back to their input
 // instead of parsing prose.
 type FieldError struct {
@@ -36,9 +37,9 @@ var stopStages = map[string]pipeline.Stage{
 // checked without touching a graph, returning a *FieldError naming the
 // first offending field. Graph resolution (workload generation, DFG
 // decoding) stays in toJob — those failures carry their own diagnostics.
-// (A function, not a method: CompileRequest is an alias into
+// (A function, not a method: wire.CompileRequest lives in
 // internal/wire, which stays free of server policy.)
-func validateRequest(r CompileRequest) error {
+func validateRequest(r wire.CompileRequest) error {
 	sources := 0
 	for _, has := range []bool{r.Workload != "", len(r.DFG) > 0, r.Graph != nil} {
 		if has {

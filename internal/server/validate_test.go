@@ -4,38 +4,40 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"mpsched/internal/wire"
 )
 
 func TestValidateCompileRequest(t *testing.T) {
 	dfg := json.RawMessage(`{"name":"g","nodes":[]}`)
 	cases := []struct {
 		name  string
-		req   CompileRequest
+		req   wire.CompileRequest
 		field string // expected FieldError.Field, "" = valid
 	}{
-		{"workload ok", CompileRequest{Workload: "3dft"}, ""},
-		{"dfg ok", CompileRequest{DFG: dfg}, ""},
-		{"no graph", CompileRequest{}, "workload"},
-		{"both graphs", CompileRequest{Workload: "3dft", DFG: dfg}, "workload"},
-		{"negative c", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: -1}}, "select.c"},
-		{"negative pdef", CompileRequest{Workload: "3dft", Select: &SelectConfig{Pdef: -2}}, "select.pdef"},
-		{"bad span", CompileRequest{Workload: "3dft", Select: &SelectConfig{Span: -3}}, "select.span"},
-		{"unlimited span ok", CompileRequest{Workload: "3dft", Select: &SelectConfig{Span: -1}}, ""},
-		{"negative epsilon", CompileRequest{Workload: "3dft", Select: &SelectConfig{Epsilon: -0.5}}, "select.epsilon"},
-		{"negative alpha", CompileRequest{Workload: "3dft", Select: &SelectConfig{Alpha: -1}}, "select.alpha"},
-		{"bad priority", CompileRequest{Workload: "3dft", Sched: &SchedConfig{Priority: "F9"}}, "sched.priority"},
-		{"good priority", CompileRequest{Workload: "3dft", Sched: &SchedConfig{Priority: "f1"}}, ""},
-		{"bad tie", CompileRequest{Workload: "3dft", Sched: &SchedConfig{Tie: "sideways"}}, "sched.tie"},
-		{"stop select ok", CompileRequest{Workload: "3dft", StopAfter: "select"}, ""},
-		{"stop census ok", CompileRequest{Workload: "3dft", StopAfter: "census"}, ""},
-		{"stop schedule ok", CompileRequest{Workload: "3dft", StopAfter: "schedule"}, ""},
-		{"stop unknown", CompileRequest{Workload: "3dft", StopAfter: "link"}, "stop_after"},
-		{"stop parse rejected", CompileRequest{Workload: "3dft", StopAfter: "parse"}, "stop_after"},
-		{"spans ok", CompileRequest{Workload: "3dft", Spans: []int{0, 1, 2}}, ""},
-		{"bad span value", CompileRequest{Workload: "3dft", Spans: []int{0, -2}}, "spans"},
-		{"spans with stop select", CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "select"}, "spans"},
-		{"spans with stop census", CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "census"}, "spans"},
-		{"spans with stop schedule", CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "schedule"}, ""},
+		{"workload ok", wire.CompileRequest{Workload: "3dft"}, ""},
+		{"dfg ok", wire.CompileRequest{DFG: dfg}, ""},
+		{"no graph", wire.CompileRequest{}, "workload"},
+		{"both graphs", wire.CompileRequest{Workload: "3dft", DFG: dfg}, "workload"},
+		{"negative c", wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{C: -1}}, "select.c"},
+		{"negative pdef", wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{Pdef: -2}}, "select.pdef"},
+		{"bad span", wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{Span: -3}}, "select.span"},
+		{"unlimited span ok", wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{Span: -1}}, ""},
+		{"negative epsilon", wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{Epsilon: -0.5}}, "select.epsilon"},
+		{"negative alpha", wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{Alpha: -1}}, "select.alpha"},
+		{"bad priority", wire.CompileRequest{Workload: "3dft", Sched: &wire.SchedConfig{Priority: "F9"}}, "sched.priority"},
+		{"good priority", wire.CompileRequest{Workload: "3dft", Sched: &wire.SchedConfig{Priority: "f1"}}, ""},
+		{"bad tie", wire.CompileRequest{Workload: "3dft", Sched: &wire.SchedConfig{Tie: "sideways"}}, "sched.tie"},
+		{"stop select ok", wire.CompileRequest{Workload: "3dft", StopAfter: "select"}, ""},
+		{"stop census ok", wire.CompileRequest{Workload: "3dft", StopAfter: "census"}, ""},
+		{"stop schedule ok", wire.CompileRequest{Workload: "3dft", StopAfter: "schedule"}, ""},
+		{"stop unknown", wire.CompileRequest{Workload: "3dft", StopAfter: "link"}, "stop_after"},
+		{"stop parse rejected", wire.CompileRequest{Workload: "3dft", StopAfter: "parse"}, "stop_after"},
+		{"spans ok", wire.CompileRequest{Workload: "3dft", Spans: []int{0, 1, 2}}, ""},
+		{"bad span value", wire.CompileRequest{Workload: "3dft", Spans: []int{0, -2}}, "spans"},
+		{"spans with stop select", wire.CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "select"}, "spans"},
+		{"spans with stop census", wire.CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "census"}, "spans"},
+		{"spans with stop schedule", wire.CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "schedule"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,7 +62,7 @@ func TestValidateCompileRequest(t *testing.T) {
 // TestToJobRejectsWithFieldErrors pins that the handler path surfaces the
 // typed validation errors as 400s with the field name in the message.
 func TestToJobRejectsWithFieldErrors(t *testing.T) {
-	_, err := toJob(CompileRequest{Workload: "3dft", Select: &SelectConfig{Pdef: -1}})
+	_, err := toJob(wire.CompileRequest{Workload: "3dft", Select: &wire.SelectConfig{Pdef: -1}})
 	if err == nil {
 		t.Fatal("invalid request accepted")
 	}

@@ -133,13 +133,13 @@ type (
 	// CompileServerOptions configures a CompileServer.
 	CompileServerOptions = server.Options
 	// CompileRequest is the /v1/compile and /v1/jobs request body.
-	CompileRequest = server.CompileRequest
+	CompileRequest = wire.CompileRequest
 	// CompileResponse is a finished compile on the wire.
-	CompileResponse = server.CompileResponse
+	CompileResponse = wire.CompileResponse
 	// BatchRequest is the /v1/batch envelope: many compiles, one request.
-	BatchRequest = server.BatchRequest
+	BatchRequest = wire.BatchRequest
 	// BatchItem is one streamed per-job result of a /v1/batch envelope.
-	BatchItem = server.BatchItem
+	BatchItem = wire.BatchItem
 	// WireCodec is a serving wire format; Client.WithCodec selects one.
 	WireCodec = wire.Codec
 	// Client is the typed client for a running mpschedd daemon.
