@@ -26,8 +26,9 @@
 //   - With -cache-floor f, every load result (requests > 0) must report
 //     cache_hit_ratio ≥ f — routing stayed affine to the key space.
 //   - -router-metrics: a saved router GET /metrics body must parse, every
-//     mpschedrouter_backend_up sample must be 0 or 1, and the fleet must
-//     have forwarded at least one request.
+//     mpschedrouter_backend_up sample must be 0 or 1, the fleet must
+//     have forwarded at least one request, and the per-route request
+//     counts must be consistent as under -metrics.
 //   - With -baseline: for every benchmark name present in both files,
 //     current ns_per_op and allocs_per_op must be ≤ tol × baseline
 //     (results only in one file are ignored — smoke runs measure a
@@ -300,19 +301,34 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkRouterMetrics parses a saved router /metrics body and asserts the
-// fleet surface is sane: the backend_up gauge exists with one strictly
-// boolean sample per backend, and the router forwarded at least one
-// request during the run that produced the scrape.
-func checkRouterMetrics(w io.Writer, path string) (int, error) {
+// loadMetrics parses a saved /metrics body. The error covers an
+// unreadable or malformed file (always fatal — a scrape the parser
+// rejects means the exposition itself broke under load).
+func loadMetrics(path string) (obs.Metrics, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer f.Close()
 	m, err := obs.ParseMetrics(f)
 	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(m) == 0 {
+		return nil, fmt.Errorf("%s: no samples", path)
+	}
+	return m, nil
+}
+
+// checkRouterMetrics parses a saved router /metrics body and asserts the
+// fleet surface is sane: the backend_up gauge exists with one strictly
+// boolean sample per backend, the router forwarded at least one request
+// during the run that produced the scrape, and its request counts are
+// consistent (see checkRequestCounts).
+func checkRouterMetrics(w io.Writer, path string) (int, error) {
+	m, err := loadMetrics(path)
+	if err != nil {
+		return 0, err
 	}
 	bad := 0
 	upSamples := 0
@@ -334,49 +350,47 @@ func checkRouterMetrics(w io.Writer, path string) (int, error) {
 		bad++
 		fmt.Fprintf(w, "benchcheck: FAIL %s: router forwarded nothing (forwarded_total = %g)\n", path, fwd)
 	}
-	fmt.Fprintf(w, "benchcheck: %s: %d backends on the router surface\n", path, upSamples)
+	routes, n := checkRequestCounts(w, m, "mpschedrouter")
+	bad += n
+	fmt.Fprintf(w, "benchcheck: %s: %d backends on the router surface, %d routes consistent\n", path, upSamples, routes)
 	return bad, nil
 }
 
-// checkMetrics parses a saved /metrics body and asserts the scrape-time
-// invariant the server maintains: requests are counted before their
-// latency is recorded, so for every route the request counter is at
-// least the summed latency-histogram counts across that route's codecs.
-// Returns the number of failed checks; the error covers an unreadable
-// or malformed file (always fatal — a scrape the parser rejects means
-// the exposition itself broke under load).
+// checkMetrics parses a saved mpschedd /metrics body and asserts its
+// request counts are consistent (see checkRequestCounts).
 func checkMetrics(w io.Writer, path string) (int, error) {
-	f, err := os.Open(path)
+	m, err := loadMetrics(path)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	m, err := obs.ParseMetrics(f)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(m) == 0 {
-		return 0, fmt.Errorf("%s: no samples", path)
-	}
+	routes, bad := checkRequestCounts(w, m, "mpschedd")
+	fmt.Fprintf(w, "benchcheck: %s: %d samples, %d routes consistent\n", path, len(m), routes)
+	return bad, nil
+}
+
+// checkRequestCounts asserts the scrape-time invariant both daemons
+// maintain: requests are counted before their latency is recorded, so
+// for every route <prefix>_requests_total is at least the summed
+// <prefix>_request_seconds_count across that route's codecs. It returns
+// the number of consistent routes and of failed checks.
+func checkRequestCounts(w io.Writer, m obs.Metrics, prefix string) (routes, bad int) {
 	totals := map[string]float64{}   // route → requests_total
 	observed := map[string]float64{} // route → Σ request_seconds_count
 	for _, s := range m {
 		switch s.Name {
-		case "mpschedd_requests_total":
+		case prefix + "_requests_total":
 			totals[s.Labels["route"]] += s.Value
-		case "mpschedd_request_seconds_count":
+		case prefix + "_request_seconds_count":
 			observed[s.Labels["route"]] += s.Value
 		}
 	}
-	bad := 0
 	for route, obsCount := range observed {
 		if total, ok := totals[route]; !ok || obsCount > total {
 			bad++
-			fmt.Fprintf(w, "benchcheck: FAIL %-40s request_seconds_count %g > requests_total %g\n", route, obsCount, totals[route])
+			fmt.Fprintf(w, "benchcheck: FAIL %-40s %s_request_seconds_count %g > requests_total %g\n", route, prefix, obsCount, totals[route])
 		}
 	}
-	fmt.Fprintf(w, "benchcheck: %s: %d samples, %d routes consistent\n", path, len(m), len(observed)-bad)
-	return bad, nil
+	return len(observed) - bad, bad
 }
 
 // traceDump matches the GET /debug/traces body.

@@ -301,3 +301,51 @@ mpschedrouter_forwarded_total{backend="http://127.0.0.1:1"} 42
 		t.Fatal("scrape without backend_up samples passed")
 	}
 }
+
+// TestRequestCountInvariant runs the per-route requests_total ≥
+// Σ request_seconds_count check on both daemons' surfaces.
+func TestRequestCountInvariant(t *testing.T) {
+	const router = `mpschedrouter_backend_up{backend="http://127.0.0.1:1"} 1
+mpschedrouter_forwarded_total{backend="http://127.0.0.1:1"} 3
+`
+	cases := []struct {
+		name, flag, body string
+		ok               bool
+	}{
+		{"daemon consistent", "-metrics", `mpschedd_requests_total{route="POST /v1/compile"} 5
+mpschedd_request_seconds_count{route="POST /v1/compile",codec="json"} 2
+mpschedd_request_seconds_count{route="POST /v1/compile",codec="binary"} 3
+`, true},
+		{"daemon codecs sum past total", "-metrics", `mpschedd_requests_total{route="POST /v1/compile"} 4
+mpschedd_request_seconds_count{route="POST /v1/compile",codec="json"} 2
+mpschedd_request_seconds_count{route="POST /v1/compile",codec="binary"} 3
+`, false},
+		{"daemon latency without a count", "-metrics", `mpschedd_requests_total{route="GET /healthz"} 1
+mpschedd_request_seconds_count{route="POST /v1/batch",codec="json"} 1
+`, false},
+		{"router consistent", "-router-metrics", router + `mpschedrouter_requests_total{route="POST /v1/compile"} 3
+mpschedrouter_request_seconds_count{route="POST /v1/compile"} 2
+`, true},
+		{"router count past total", "-router-metrics", router + `mpschedrouter_requests_total{route="POST /v1/compile"} 1
+mpschedrouter_request_seconds_count{route="POST /v1/compile"} 2
+`, false},
+		{"router latency without a count", "-router-metrics", router + `mpschedrouter_request_seconds_count{route="POST /v1/jobs"} 1
+`, false},
+		// Each daemon's check reads only its own prefix.
+		{"router ignores daemon families", "-router-metrics", router + `mpschedd_request_seconds_count{route="POST /v1/jobs",codec="json"} 1
+`, true},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "metrics.txt")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out := check(t, tc.flag, path)
+		if (code == 0) != tc.ok {
+			t.Errorf("%s: exit %d, want ok=%v:\n%s", tc.name, code, tc.ok, out)
+		}
+		if !tc.ok && !strings.Contains(out, "request_seconds_count") {
+			t.Errorf("%s: failure not named:\n%s", tc.name, out)
+		}
+	}
+}
