@@ -1,10 +1,11 @@
 // Package obs is the serving stack's zero-dependency observability
 // layer: per-request traces made of named spans, a fixed-size recorder
-// that backs mpschedd's /debug/traces endpoints and its slow-trace log,
+// that backs the daemons' /debug/traces endpoints and slow-trace log,
 // the log-linear latency histogram shared by the load generator and the
-// server's /metrics quantiles (hist.go), and a parser for the Prometheus
-// text exposition so clients can diff a server's counters around a run
-// (promtext.go).
+// /metrics summaries (hist.go), the metrics Registry both daemons
+// declare their /metrics families on, with the one Prometheus text
+// writer in the tree (registry.go), and a parser for that exposition so
+// clients can diff a daemon's counters around a run (promtext.go).
 //
 // A Trace is created at the HTTP edge (one per request, identified by
 // the X-Mpsched-Trace header, generated when the client sends none) and

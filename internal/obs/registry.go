@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -22,25 +23,25 @@ const (
 )
 
 // Registry holds metric families and writes them as one Prometheus text
-// exposition, families in declaration order. A family is declared once,
-// at start-up, in one of three ways:
+// exposition, families in declaration order. Families are declared at
+// start-up in one of three ways:
 //
 //   - Counter, Gauge and Summary declare one series and return its
 //     handle. Declaring the same name again with other label pairs adds
 //     a series to that family, rendered in declaration order.
-//   - CounterVec and SummaryVec declare a family keyed by label names;
-//     With resolves one series' handle, and the family renders its
-//     series sorted by label values. Resolve handles once, outside the
-//     request path: With takes the family lock.
+//   - CounterVec and SummaryVec declare a family keyed by label names.
+//     With resolves one series' handle; the family renders its series
+//     sorted by label values. With takes the family lock, so resolve
+//     handles once, outside the request path.
 //   - Sampled, CounterFunc and GaugeFunc declare a family whose values
-//     are owned elsewhere and read at scrape time.
+//     are owned elsewhere and read at each scrape.
 //
 // A summary series with no observations is left out, as is a counter
-// series a Vec made that is still zero; a family with no series left
+// series a Vec made that is still zero; a family left with no series
 // writes no HELP or TYPE line either. Recording into a handle takes no
 // registry lock: counters and gauges are atomics, and a summary is a
-// LockedHistogram behind its own mutex, rendered as its p50 and p99
-// quantile samples plus _sum and _count, in seconds.
+// LockedHistogram, rendered as its p50 and p99 plus _sum and _count, in
+// seconds.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -60,16 +61,14 @@ type family struct {
 }
 
 type series struct {
-	values []string // label values, the sort key in a Vec family
-	labels string   // rendered label pairs, `k="v",...`, or ""
-	// fromVec marks a series a Vec made, which is left out while it
-	// holds nothing.
-	fromVec bool
+	values  []string // label values: a Vec family's sort key
+	labels  string   // rendered label pairs, `k="v",...`, or ""
+	fromVec bool     // made by With: left out while it holds nothing
 	m       metric
 }
 
-// metric is a series' value: it writes its samples, or none when it has
-// nothing to show and hideEmpty is set.
+// metric writes one series' samples, or none when it holds nothing and
+// hideEmpty is set.
 type metric interface {
 	expose(t *textWriter, labels string, hideEmpty bool)
 }
@@ -120,6 +119,40 @@ func (l *LockedHistogram) expose(t *textWriter, labels string, _ bool) {
 	t.sample("_count", labels, float64(h.Count()))
 }
 
+// add registers f and returns it. With join set, an existing family of
+// the same name is returned instead, provided it holds declared series
+// of the same kind.
+func (r *Registry) add(f *family, join bool) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, g := range r.families {
+		if g.name == f.name {
+			if !join || g.kind != f.kind || g.keys != nil || g.sampled != nil {
+				panic("obs: metric family " + f.name + " declared twice")
+			}
+			return g
+		}
+	}
+	r.families = append(r.families, f)
+	return f
+}
+
+// declare adds one series, labelled by name/value pairs, to the named
+// family.
+func (r *Registry) declare(name, help string, kind Kind, labels []string, m metric) {
+	if len(labels)%2 != 0 {
+		panic("obs: odd label name/value list for " + name)
+	}
+	var keys, values []string
+	for i := 0; i < len(labels); i += 2 {
+		keys, values = append(keys, labels[i]), append(values, labels[i+1])
+	}
+	f := r.add(&family{name: name, help: help, kind: kind}, true)
+	f.mu.Lock()
+	f.series = append(f.series, &series{labels: renderLabels(keys, values), m: m})
+	f.mu.Unlock()
+}
+
 // Counter declares a counter series; labels are name, value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	c := new(Counter)
@@ -141,55 +174,12 @@ func (r *Registry) Summary(name, help string, labels ...string) *LockedHistogram
 	return h
 }
 
-// declare adds one series to the named family, creating the family on
-// first use.
-func (r *Registry) declare(name, help string, kind Kind, labels []string, m metric) {
-	if len(labels)%2 != 0 {
-		panic("obs: odd label name/value list for " + name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var f *family
-	for _, g := range r.families {
-		if g.name == name {
-			f = g
-		}
-	}
-	if f == nil {
-		f = r.addLocked(name, help, kind, nil)
-	} else if f.kind != kind || f.keys != nil || f.sampled != nil {
-		panic("obs: family " + name + " redeclared with another shape")
-	}
-	var keys, values []string
-	for i := 0; i < len(labels); i += 2 {
-		keys, values = append(keys, labels[i]), append(values, labels[i+1])
-	}
-	f.series = append(f.series, &series{values: values, labels: renderLabels(keys, values), m: m})
-}
-
-func (r *Registry) add(name, help string, kind Kind, keys []string) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.addLocked(name, help, kind, keys)
-}
-
-func (r *Registry) addLocked(name, help string, kind Kind, keys []string) *family {
-	for _, f := range r.families {
-		if f.name == name {
-			panic("obs: family " + name + " declared twice")
-		}
-	}
-	f := &family{name: name, help: help, kind: kind, keys: keys}
-	r.families = append(r.families, f)
-	return f
-}
-
 // CounterVec is a counter family keyed by label names.
 type CounterVec struct{ f *family }
 
 // CounterVec declares a counter family keyed by the given label names.
 func (r *Registry) CounterVec(name, help string, keys ...string) CounterVec {
-	return CounterVec{r.add(name, help, CounterKind, keys)}
+	return CounterVec{r.add(&family{name: name, help: help, kind: CounterKind, keys: keys}, false)}
 }
 
 // With returns the counter for the given label values, one per key.
@@ -202,7 +192,7 @@ type SummaryVec struct{ f *family }
 
 // SummaryVec declares a summary family keyed by the given label names.
 func (r *Registry) SummaryVec(name, help string, keys ...string) SummaryVec {
-	return SummaryVec{r.add(name, help, SummaryKind, keys)}
+	return SummaryVec{r.add(&family{name: name, help: help, kind: SummaryKind, keys: keys}, false)}
 }
 
 // With returns the summary for the given label values, one per key.
@@ -210,29 +200,28 @@ func (v SummaryVec) With(values ...string) *LockedHistogram {
 	return v.f.with(values, func() metric { return new(LockedHistogram) }).(*LockedHistogram)
 }
 
-// with finds or creates the series for values, keeping the family's
-// series sorted by label values.
+// with finds or creates the series for values, keeping the series
+// sorted by label values.
 func (f *family) with(values []string, mk func() metric) metric {
 	if len(values) != len(f.keys) {
-		panic("obs: family " + f.name + " takes " + strconv.Itoa(len(f.keys)) + " label values")
+		panic(fmt.Sprintf("obs: metric family %s takes %d label values, got %d", f.name, len(f.keys), len(values)))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	i, found := slices.BinarySearchFunc(f.series, values, func(s *series, v []string) int {
 		return slices.Compare(s.values, v)
 	})
-	if found {
-		return f.series[i].m
+	if !found {
+		s := &series{values: slices.Clone(values), labels: renderLabels(f.keys, values), fromVec: true, m: mk()}
+		f.series = slices.Insert(f.series, i, s)
 	}
-	s := &series{values: slices.Clone(values), labels: renderLabels(f.keys, values), fromVec: true, m: mk()}
-	f.series = slices.Insert(f.series, i, s)
-	return s.m
+	return f.series[i].m
 }
 
 // Sampled declares a family whose values are read at each scrape:
 // collect calls emit once per series, with one label value per key.
 func (r *Registry) Sampled(name, help string, kind Kind, keys []string, collect func(emit func(v float64, values ...string))) {
-	r.add(name, help, kind, keys).sampled = collect
+	r.add(&family{name: name, help: help, kind: kind, keys: keys, sampled: collect}, false)
 }
 
 // CounterFunc declares an unlabelled counter read from f at each scrape.
@@ -270,46 +259,35 @@ func (r *Registry) WriteText(w io.Writer) error {
 // ServeHTTP serves the exposition, as a daemon's GET /metrics.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = r.WriteText(w) // a failed write means the scraper hung up; nothing to report to
+	_ = r.WriteText(w) // a failed write means the scraper hung up; there is no one to tell
 }
 
 // textWriter writes one family's samples, preceded by its HELP and TYPE
-// lines once the first sample is known to exist.
+// lines once a first sample exists.
 type textWriter struct {
 	w       *bufio.Writer
 	f       *family
 	started bool
-	buf     []byte
 }
 
 func (t *textWriter) sample(suffix, labels string, v float64) {
-	f := t.f
-	b := t.buf[:0]
 	if !t.started {
 		t.started = true
-		b = append(b, "# HELP "+f.name+" "+f.help+"\n# TYPE "+f.name+" "+string(f.kind)+"\n"...)
+		fmt.Fprintf(t.w, "# HELP %s %s\n# TYPE %s %s\n", t.f.name, t.f.help, t.f.name, t.f.kind)
 	}
-	b = append(b, f.name...)
-	b = append(b, suffix...)
 	if labels != "" {
-		b = append(b, '{')
-		b = append(b, labels...)
-		b = append(b, '}')
+		labels = "{" + labels + "}"
 	}
-	b = append(b, ' ')
 	// Whole numbers print as integers, the rest in the shortest %g form.
+	val := strconv.FormatFloat(v, 'g', -1, 64)
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		b = strconv.AppendInt(b, int64(v), 10)
-	} else {
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		val = strconv.FormatInt(int64(v), 10)
 	}
-	b = append(b, '\n')
-	t.w.Write(b)
-	t.buf = b
+	t.w.WriteString(t.f.name + suffix + labels + " " + val + "\n")
 }
 
 // renderLabels formats label pairs as `k1="v1",k2="v2"`, values quoted
-// with Go escaping (a superset of the exposition format's).
+// with Go escaping, which the exposition parser reads back.
 func renderLabels(keys, values []string) string {
 	var b []byte
 	for i, k := range keys {

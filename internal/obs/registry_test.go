@@ -31,12 +31,12 @@ func TestRegistryExposition(t *testing.T) {
 		emit(1, `http://a"b`)
 	})
 	lat := r.SummaryVec("x_seconds", "Latency by route and codec.", "route", "codec")
-	empty := r.Summary("x_wait_seconds", "Never observed.")
+	r.Summary("x_idle_seconds", "Never observed.")
+	wait := r.Summary("x_wait_seconds", "Unlabelled.")
 
 	// Resolved but never incremented or observed: left out.
 	reqs.With("GET /idle")
 	lat.With("GET /idle", "json")
-	_ = empty
 
 	reqs.With("POST /b").Add(2)
 	reqs.With("GET /a").Inc()
@@ -47,6 +47,7 @@ func TestRegistryExposition(t *testing.T) {
 	lat.With("POST /b", "json").Record(2 * time.Second)
 	lat.With("GET /a", "json").Record(time.Second)
 	lat.With("GET /a", "binary").Record(time.Second)
+	wait.Record(1500 * time.Millisecond)
 
 	want := `# HELP x_requests_total Requests by route.
 # TYPE x_requests_total counter
@@ -85,6 +86,12 @@ x_seconds{route="POST /b",codec="json",quantile="0.5"} 2
 x_seconds{route="POST /b",codec="json",quantile="0.99"} 2
 x_seconds_sum{route="POST /b",codec="json"} 2
 x_seconds_count{route="POST /b",codec="json"} 1
+# HELP x_wait_seconds Unlabelled.
+# TYPE x_wait_seconds summary
+x_wait_seconds{quantile="0.5"} 1.5
+x_wait_seconds{quantile="0.99"} 1.5
+x_wait_seconds_sum 1.5
+x_wait_seconds_count 1
 `
 	if got := exposition(t, r); got != want {
 		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
@@ -97,21 +104,6 @@ x_seconds_count{route="POST /b",codec="json"} 1
 	}
 	if v, _ := m.Value("x_backend_up", "backend", `http://a"b`); v != 1 {
 		t.Errorf("parsed backend_up = %g, want 1", v)
-	}
-}
-
-func TestRegistryUnlabelledSummary(t *testing.T) {
-	r := NewRegistry()
-	r.Summary("x_wait_seconds", "Wait.").Record(1500 * time.Millisecond)
-	want := `# HELP x_wait_seconds Wait.
-# TYPE x_wait_seconds summary
-x_wait_seconds{quantile="0.5"} 1.5
-x_wait_seconds{quantile="0.99"} 1.5
-x_wait_seconds_sum 1.5
-x_wait_seconds_count 1
-`
-	if got := exposition(t, r); got != want {
-		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -22,36 +22,20 @@ type metrics struct {
 	requests   obs.CounterVec
 	reqSeconds obs.SummaryVec
 
-	compiles      *obs.Counter // compile attempts (sync + async + batch)
-	compileErrors *obs.Counter // attempts that returned an error
+	// Handles of the owned families; each one's HELP text in newMetrics
+	// says what it counts.
+	compiles, compileErrors                                *obs.Counter
+	jobsSubmitted, jobsCompleted, jobsFailed, jobsRejected *obs.Counter
+	batchJobs, batchRejected                               *obs.Counter
+	panics, deadlineExpired, shedAsync, shedSync           *obs.Counter
+	inflightRequests, inflightBatch                        *obs.Gauge
 
-	jobsSubmitted *obs.Counter // async jobs accepted into the queue
-	jobsCompleted *obs.Counter // async jobs finished successfully
-	jobsFailed    *obs.Counter // async jobs finished with an error
-	jobsRejected  *obs.Counter // async jobs refused at admission (queue full / draining)
-
-	batchJobs     *obs.Counter // batch jobs admitted across all envelopes
-	batchRejected *obs.Counter // batch jobs refused at admission (capacity / draining)
-
-	panics          *obs.Counter // panics isolated (handler or compile); the daemon survived each one
-	deadlineExpired *obs.Counter // requests/jobs 504ed by their own deadline budget
-	shedAsync       *obs.Counter // async submissions shed by the brownout controller
-	shedSync        *obs.Counter // sync compiles/batches shed by the brownout controller
-
-	inflightRequests *obs.Gauge // HTTP requests currently in a handler
-	inflightBatch    *obs.Gauge // batch jobs admitted and not yet finished
-
-	// compileOK / compileErr split compile latency by outcome, so an
-	// error storm shows in its own quantiles instead of vanishing.
-	compileOK  *obs.LockedHistogram
-	compileErr *obs.LockedHistogram
-	// queueWait is the time async jobs spent queued before a worker
-	// picked them up.
-	queueWait *obs.LockedHistogram
-	// stages is compiler-stage wall clock by stage name, plus "cache"
-	// for results served from the result cache. Read-only after
-	// newMetrics, so lookups take no lock.
-	stages map[string]*obs.LockedHistogram
+	// Compile latency is split by outcome, so an error storm shows in its
+	// own quantiles. stages holds compiler-stage wall clock by stage name,
+	// plus "cache" for results served from the result cache; it is
+	// read-only after newMetrics, so lookups take no lock.
+	compileOK, compileErr, queueWait *obs.LockedHistogram
+	stages                           map[string]*obs.LockedHistogram
 }
 
 func newMetrics(s *Server) *metrics {

@@ -54,6 +54,7 @@
 //	internal/pipeline   concurrent batch engine + result caches
 //	internal/server     HTTP/JSON compile service (mpschedd core)
 //	internal/server/client  typed client for the service
+//	internal/obs        traces, histograms, metrics registry + exposition
 //	internal/cliutil    shared CLI helpers + workload catalog
 package mpsched
 
